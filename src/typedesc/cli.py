@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
 
-from . import annotator, corpus, diffcore, metrics
+from . import annotator, corpus, diffcore, metrics, search
 from .config import RunConfig, load_config, save_config
 from .errors import TypedescError
 from .trainer import TwoStageModel, train
@@ -114,18 +115,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_mode(mode: str):
-    if mode == "greedy":
-        return "greedy", 1
-    if mode.startswith("beam:"):
-        try:
-            width = int(mode.split(":", 1)[1])
-        except ValueError:
-            raise TypedescError(f"bad beam width in mode '{mode}'") from None
-        return "beam", width
-    raise TypedescError(f"unknown mode '{mode}' (expected greedy or beam:<k>)")
-
-
 def _load_model(checkpoint_path: Path):
     run_dir = checkpoint_path.parent
     cfg_path = run_dir / "config.txt"
@@ -133,31 +122,40 @@ def _load_model(checkpoint_path: Path):
         raise TypedescError(f"missing {cfg_path} next to the checkpoint")
     cfg = load_config(cfg_path)
     vocabs = _read_vocab_files(run_dir, cfg.max_position)
-    params = diffcore.load_checkpoint(checkpoint_path)
     model = TwoStageModel.build(cfg.dims(), vocabs, seed=0)
-    missing = sorted(set(model.params) - set(params))
-    if missing:
-        raise TypedescError(f"checkpoint {checkpoint_path} lacks parameters: {missing[:5]}")
-    model.load_arrays({name: params[name].data for name in model.params})
+    diffcore.load_checkpoint(checkpoint_path, into=model.params)
     return model, cfg
 
 
 def cmd_generate(args) -> int:
-    mode, width = _parse_mode(args.mode)
+    mode, width = search.parse_mode(args.mode)
     model, cfg = _load_model(Path(args.checkpoint))
     override = corpus.tokenize(args.template) if args.template else None
     entities = corpus.load_jsonl(args.input)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for ent in entities:
-            template, description = model.generate(
-                ent, mode=mode, beam_width=width, template_override=override,
-                max_template_len=cfg.max_template_len,
-                max_description_len=cfg.max_description_len)
-            fh.write(json.dumps({
-                "entity_id": ent.entity_id,
-                "template": " ".join(template),
-                "hypothesis": " ".join(description),
-            }, ensure_ascii=False) + "\n")
+    lines = []
+    for ent in entities:
+        template, description = model.generate(
+            ent, mode=mode, beam_width=width, template_override=override,
+            max_template_len=cfg.max_template_len,
+            max_description_len=cfg.max_description_len)
+        lines.append(json.dumps({
+            "entity_id": ent.entity_id,
+            "template": " ".join(template),
+            "hypothesis": " ".join(description),
+        }, ensure_ascii=False) + "\n")
+    # every entity is decoded first; a regular --out is then replaced in one rename
+    if os.path.exists(args.out) and not os.path.isfile(args.out):  # e.g. /dev/stdout
+        Path(args.out).write_text("".join(lines), encoding="utf-8")
+    else:
+        out = Path(os.path.realpath(args.out))  # a symlink's target, not the symlink
+        tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text("".join(lines), encoding="utf-8")
+            if out.exists():
+                shutil.copymode(out, tmp)
+            os.replace(tmp, out)
+        finally:
+            tmp.unlink(missing_ok=True)
     print(f"generated {len(entities)} descriptions into {args.out}")
     return 0
 
@@ -175,15 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="typedesc",
         description="Two-stage template-based type description generation from infoboxes.")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig()
 
     p = sub.add_parser("prepare", help="filter, split and index an entity JSONL file")
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-statements", type=int, default=5)
-    p.add_argument("--value-vocab", type=int, default=10000)
-    p.add_argument("--target-vocab", type=int, default=10000)
-    p.add_argument("--max-position", type=int, default=16)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--min-statements", type=int, default=defaults.min_statements)
+    p.add_argument("--value-vocab", type=int, default=defaults.value_vocab_size)
+    p.add_argument("--target-vocab", type=int, default=defaults.target_vocab_size)
+    p.add_argument("--max-position", type=int, default=defaults.max_position)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("annotate", help="annotate descriptions (one per line) as TSV")

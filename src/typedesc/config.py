@@ -6,53 +6,34 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import TypedescError
-from .stage1 import ModelDims
+from .stage1 import MAX_TEMPLATE_LEN, ModelDims
+from .stage2 import MAX_DESCRIPTION_LEN
 from .trainer import TrainConfig
 
 
 @dataclass
-class RunConfig:
-    # optimization
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 16
-    max_epochs: int = 50
-    seed: int = 0
-    grad_clip_norm: float = 5.0
-    validate_every: int = 1
-    early_stop_patience: int = 5
-    # model sizes
-    d_h: int = 256
-    d_word: int = 256
-    d_prop: int = 128
-    d_pos: int = 128
+class RunConfig(ModelDims, TrainConfig):
+    """Every run setting; config.txt lists TrainConfig's fields, ModelDims', then these."""
+
     # data
     value_vocab_size: int = 10000
     target_vocab_size: int = 10000
     max_position: int = 16
     min_statements: int = 5
     # decoding
-    max_template_len: int = 16
-    max_description_len: int = 24
+    max_template_len: int = MAX_TEMPLATE_LEN
+    max_description_len: int = MAX_DESCRIPTION_LEN
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-                           batch_size=self.batch_size, max_epochs=self.max_epochs,
-                           seed=self.seed, grad_clip_norm=self.grad_clip_norm,
-                           validate_every=self.validate_every,
-                           early_stop_patience=self.early_stop_patience)
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def dims(self) -> ModelDims:
-        return ModelDims(d_h=self.d_h, d_word=self.d_word, d_prop=self.d_prop,
-                         d_pos=self.d_pos)
+        return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     """Parse key=value lines over a base config; unknown keys are rejected."""
     cfg = base if base is not None else RunConfig()
-    types = {f.name: f.type for f in fields(RunConfig)}
     casts = {f.name: (int if f.default.__class__ is int else float) for f in fields(RunConfig)}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -61,7 +42,7 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise TypedescError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in types:
+        if key not in casts:
             raise TypedescError(f"{path}: line {lineno}: unknown config key '{key}'")
         try:
             setattr(cfg, key, casts[key](value))

@@ -9,7 +9,10 @@ binary checkpoint format. Correctness over speed throughout.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +64,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backprop is not None:
-                node._backprop()
+                node._backprop(node.grad)
 
     def sum(self, axis=None):
         return reduce_sum(self, axis)
@@ -112,6 +115,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def _make(data, parents, backprop) -> Tensor:
+    """Graph node over `data`; `backprop(g)` sends the node's gradient g to its parents."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -146,14 +150,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeMismatch(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-    out = _make(data, (a, b), None)
 
-    def backprop():
-        _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(out.grad, b.data.shape))
+    def backprop(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(g, b.data.shape))
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(data, (a, b), backprop)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -161,14 +163,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeMismatch(f"sub: incompatible shapes {a.shape} and {b.shape}") from None
-    out = _make(data, (a, b), None)
 
-    def backprop():
-        _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(-out.grad, b.data.shape))
+    def backprop(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape))
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(data, (a, b), backprop)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -176,35 +176,27 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeMismatch(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
-    out = _make(data, (a, b), None)
 
-    def backprop():
-        _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+    def backprop(g):
+        _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(data, (a, b), backprop)
 
 
 def _scalar_add(a: Tensor, s) -> Tensor:
     s = float(s)
-    out = _make(a.data + s, (a,), None)
-    out._backprop = (lambda: _accum(a, out.grad)) if out.requires_grad else None
-    return out
+    return _make(a.data + s, (a,), lambda g: _accum(a, g))
 
 
 def _scalar_sub_from(s, a: Tensor) -> Tensor:
     s = float(s)
-    out = _make(s - a.data, (a,), None)
-    out._backprop = (lambda: _accum(a, -out.grad)) if out.requires_grad else None
-    return out
+    return _make(s - a.data, (a,), lambda g: _accum(a, -g))
 
 
 def _scalar_mul(a: Tensor, s) -> Tensor:
     s = float(s)
-    out = _make(a.data * s, (a,), None)
-    out._backprop = (lambda: _accum(a, out.grad * s)) if out.requires_grad else None
-    return out
+    return _make(a.data * s, (a,), lambda g: _accum(a, g * s))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -213,43 +205,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.ndim == 2 and bd.ndim == 2:
         if ad.shape[1] != bd.shape[0]:
             raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        out = _make(ad @ bd, (a, b), None)
 
-        def backprop():
-            _accum(a, out.grad @ bd.T)
-            _accum(b, ad.T @ out.grad)
+        def backprop(g):
+            _accum(a, g @ bd.T)
+            _accum(b, ad.T @ g)
 
     elif ad.ndim == 2 and bd.ndim == 1:
         if ad.shape[1] != bd.shape[0]:
             raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        out = _make(ad @ bd, (a, b), None)
 
-        def backprop():
-            _accum(a, np.outer(out.grad, bd))
-            _accum(b, ad.T @ out.grad)
+        def backprop(g):
+            _accum(a, np.outer(g, bd))
+            _accum(b, ad.T @ g)
 
     elif ad.ndim == 1 and bd.ndim == 2:
         if ad.shape[0] != bd.shape[0]:
             raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        out = _make(ad @ bd, (a, b), None)
 
-        def backprop():
-            _accum(a, bd @ out.grad)
-            _accum(b, np.outer(ad, out.grad))
+        def backprop(g):
+            _accum(a, bd @ g)
+            _accum(b, np.outer(ad, g))
 
     else:
         raise ShapeMismatch(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
-
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(ad @ bd, (a, b), backprop)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatch(f"transpose expects a matrix, got shape {a.shape}")
-    out = _make(a.data.T, (a,), None)
-    out._backprop = (lambda: _accum(a, out.grad.T)) if out.requires_grad else None
-    return out
+    return _make(a.data.T, (a,), lambda g: _accum(a, g.T))
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -258,68 +243,47 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     except ValueError:
         shapes = [p.shape for p in parts]
         raise ShapeMismatch(f"concat: incompatible shapes {shapes}") from None
-    out = _make(data, tuple(parts), None)
 
-    def backprop():
+    def backprop(g):
         offset = 0
         for p in parts:
             size = p.data.shape[axis]
             sl = [slice(None)] * data.ndim
             sl[axis] = slice(offset, offset + size)
-            _accum(p, out.grad[tuple(sl)])
+            _accum(p, g[tuple(sl)])
             offset += size
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(data, tuple(parts), backprop)
 
 
 def stack_rows(rows: list[Tensor]) -> Tensor:
     """Stack vectors into a matrix, one row per vector."""
-    data = np.stack([r.data for r in rows], axis=0)
-    out = _make(data, tuple(rows), None)
 
-    def backprop():
+    def backprop(g):
         for i, r in enumerate(rows):
-            _accum(r, out.grad[i])
+            _accum(r, g[i])
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(np.stack([r.data for r in rows], axis=0), tuple(rows), backprop)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = _make(y, (a,), None)
-    out._backprop = (lambda: _accum(a, out.grad * y * (1.0 - y))) if out.requires_grad else None
-    return out
+    e = np.exp(-np.abs(a.data))
+    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _make(y, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = _make(y, (a,), None)
-    out._backprop = (lambda: _accum(a, out.grad * (1.0 - y * y))) if out.requires_grad else None
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _make(np.log(a.data), (a,), None)
-    out._backprop = (lambda: _accum(a, out.grad / a.data)) if out.requires_grad else None
-    return out
+    return _make(y, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
 
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
-    out = _make(a.data.sum(axis=axis), (a,), None)
-
-    def backprop():
-        g = out.grad
+    def backprop(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(a.data.sum(axis=axis), (a,), backprop)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -327,45 +291,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _make(y, (a,), None)
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         _accum(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(y, (a,), backprop)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Row(s) of an embedding table; int id gives a vector, a list gives a matrix."""
     idx = np.asarray(ids)
-    out = _make(table.data[idx], (table,), None)
 
-    def backprop():
+    def backprop(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, out.grad)
+        np.add.at(table.grad, idx, g)
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
-
-
-def pick(a: Tensor, index: int) -> Tensor:
-    """Scalar element of a vector."""
-    if a.data.ndim != 1:
-        raise ShapeMismatch(f"pick expects a vector, got shape {a.shape}")
-    if not 0 <= index < a.data.shape[0]:
-        raise TypedescError(f"pick: index {index} out of range for shape {a.shape}")
-    out = _make(np.asarray(a.data[index]), (a,), None)
-
-    def backprop():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[index] += out.grad
-
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(table.data[idx], (table,), backprop)
 
 
 def scatter_add(src: Tensor, index, size: int) -> Tensor:
@@ -375,23 +317,19 @@ def scatter_add(src: Tensor, index, size: int) -> Tensor:
         raise ShapeMismatch(f"scatter_add: src shape {src.shape} vs index shape {idx.shape}")
     data = np.zeros(size, dtype=np.float64)
     np.add.at(data, idx, src.data)
-    out = _make(data, (src,), None)
-    out._backprop = (lambda: _accum(src, out.grad[idx])) if out.requires_grad else None
-    return out
+    return _make(data, (src,), lambda g: _accum(src, g[idx]))
 
 
 def add_n(parts: list[Tensor]) -> Tensor:
     data = parts[0].data.copy()
     for p in parts[1:]:
         data = data + p.data
-    out = _make(data, tuple(parts), None)
 
-    def backprop():
+    def backprop(g):
         for p in parts:
-            _accum(p, out.grad)
+            _accum(p, g)
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(data, tuple(parts), backprop)
 
 
 def cross_entropy(dist: Tensor, target: int, from_logits: bool = True) -> Tensor:
@@ -408,25 +346,24 @@ def cross_entropy(dist: Tensor, target: int, from_logits: bool = True) -> Tensor
     if from_logits:
         m = x.max()
         lse = m + np.log(np.exp(x - m).sum())
-        out = _make(np.asarray(lse - x[target]), (dist,), None)
+        nll = lse - x[target]
 
-        def backprop():
+        def backprop(g):
             p = np.exp(x - lse)
             p[target] -= 1.0
-            _accum(dist, out.grad * p)
+            _accum(dist, g * p)
 
     else:
         p_t = x[target]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = _make(np.asarray(-np.log(p_t)), (dist,), None)
+            nll = -np.log(p_t)
 
-        def backprop():
+        def backprop(g):
             if dist.grad is None:
                 dist.grad = np.zeros_like(dist.data)
-            dist.grad[target] += -out.grad / p_t
+            dist.grad[target] += -g / p_t
 
-    out._backprop = backprop if out.requires_grad else None
-    return out
+    return _make(np.asarray(nll), (dist,), backprop)
 
 
 def zeros(shape) -> Tensor:
@@ -598,25 +535,60 @@ def save_checkpoint(path, params: dict):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> dict:
+def load_checkpoint(path, into: dict | None = None) -> dict:
+    """Parameters of a checkpoint; any short read or trailing byte is a CheckpointError.
+
+    With `into`, a dict of tensors such as a freshly built model's, the checkpoint must
+    hold exactly its names and shapes and is read into its arrays (partly, on an error).
+    """
+
+    def need(n: int):
+        if n > size - fh.tell():
+            raise CheckpointError(f"{path}: checkpoint is truncated")
+
+    def unpack(fmt: str):
+        need(struct.calcsize(fmt))
+        return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a typedesc checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = unpack("<I")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint version {version}, this build reads version "
                 f"{CHECKPOINT_VERSION}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = unpack("<I")
         params = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            n_items = int(np.prod(shape)) if shape else 1
-            payload = fh.read(8 * n_items)
-            arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-            params[name] = Tensor(arr, requires_grad=True)
+            (name_len,) = unpack("<H")
+            need(name_len)
+            try:
+                name = fh.read(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            need(8 * math.prod(shape))
+            if name in params:
+                raise CheckpointError(f"{path}: parameter '{name}' appears twice")
+            if into is None:
+                params[name] = Tensor(np.empty(shape), requires_grad=True)
+            elif name not in into:
+                raise CheckpointError(f"{path}: parameter '{name}' is not in the model")
+            elif into[name].shape != shape:
+                raise CheckpointError(f"{path}: parameter '{name}' has shape {shape}, "
+                                      f"the model's has {into[name].shape}")
+            else:
+                params[name] = into[name]
+            arr = params[name].data
+            fh.readinto(arr)
+            if sys.byteorder == "big":  # payloads are little-endian
+                arr.byteswap(inplace=True)
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: trailing bytes after the last parameter")
+        missing = sorted(set(into or ()) - set(params))
+        if missing:
+            raise CheckpointError(f"{path}: checkpoint lacks parameters {missing[:5]}")
         return params

@@ -1,7 +1,8 @@
 """Greedy and length-normalized beam decoding over a generic step function.
 
 A step function maps (previous token id, decoder state) to (log-probability
-vector, next state); the search owns sequence bookkeeping only.
+vector, next state); the search owns sequence bookkeeping only. This module
+is the one place that parses a decoding mode and dispatches on it.
 """
 
 from __future__ import annotations
@@ -53,3 +54,25 @@ def beam(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> lis
         beams = candidates[:width]
     best = max(beams, key=lambda h: h[1] / (len(h[0]) + 1))
     return list(best[0])
+
+
+def parse_mode(text: str) -> tuple[str, int]:
+    """`greedy` or `beam:<k>` as (mode, beam width)."""
+    if text == "greedy":
+        return "greedy", 1
+    if text.startswith("beam:"):
+        try:
+            return "beam", int(text.split(":", 1)[1])
+        except ValueError:
+            raise TypedescError(f"bad beam width in mode '{text}'") from None
+    raise TypedescError(f"unknown mode '{text}' (expected greedy or beam:<k>)")
+
+
+def decode(step, s0, bos_id: int, eos_id: int, max_len: int, mode: str,
+           width: int) -> list[int]:
+    """Token ids from the search that `mode` names ("greedy" or "beam")."""
+    if mode == "greedy":
+        return greedy(step, s0, bos_id, eos_id, max_len)
+    if mode == "beam":
+        return beam(step, s0, bos_id, eos_id, max_len, width)
+    raise TypedescError(f"unknown decoding mode '{mode}'")

@@ -15,10 +15,12 @@ import numpy as np
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_weights, init_gru, matmul, no_grad, softmax, stack_rows,
-                       tanh, transpose, uniform_param, zeros)
+                       gru_weights, init_gru, matmul, softmax, stack_rows, tanh,
+                       transpose, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS
+
+MAX_TEMPLATE_LEN = 16  # template tokens decoded before stopping without eos
 
 
 @dataclass
@@ -125,22 +127,15 @@ def template_nll(enc: EncoderOutput, template_tokens: list[str], vocabs: VocabSe
 
 
 def generate_template(enc: EncoderOutput, vocabs: VocabSet, params: dict,
-                      max_len: int = 16, mode: str = "greedy", beam_width: int = 1) -> list[str]:
-    """Decode a template until eos or max_len; greedy by default."""
-    bos = vocabs.template_vocab[BOS]
-    eos = vocabs.template_vocab[EOS]
+                      max_len: int = MAX_TEMPLATE_LEN, mode: str = "greedy",
+                      beam_width: int = 1) -> list[str]:
+    """Decode a template until eos or max_len, greedy by default; tapes unless under no_grad."""
 
     def step(prev_id, state):
-        with no_grad():
-            probs, s_next = decode_template_step(prev_id, state, enc, params)
+        probs, s_next = decode_template_step(prev_id, state, enc, params)
         return np.log(probs.data + 1e-300), s_next
 
-    with no_grad():
-        s0 = init_decoder_state(enc.final, params)
-    if mode == "greedy":
-        ids = search.greedy(step, s0, bos, eos, max_len)
-    elif mode == "beam":
-        ids = search.beam(step, s0, bos, eos, max_len, beam_width)
-    else:
-        raise TypedescError(f"unknown decoding mode '{mode}'")
+    ids = search.decode(step, init_decoder_state(enc.final, params),
+                        vocabs.template_vocab[BOS], vocabs.template_vocab[EOS], max_len,
+                        mode, beam_width)
     return [vocabs.template_itos[i] for i in ids]

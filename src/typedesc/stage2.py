@@ -13,11 +13,13 @@ import numpy as np
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_weights, init_gru, matmul, no_grad, scatter_add, sigmoid,
-                       softmax, stack_rows, tanh, uniform_param, zeros)
+                       gru_weights, init_gru, matmul, scatter_add, sigmoid, softmax,
+                       stack_rows, tanh, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS, UNK
 from .stage1 import EncoderOutput, ModelDims, attend_general
+
+MAX_DESCRIPTION_LEN = 24  # description words decoded before stopping without eos
 
 
 class ExtendedVocab:
@@ -230,24 +232,16 @@ def description_nll(enc: EncoderOutput, template_enc: EncoderOutput,
 
 def decode_description(enc: EncoderOutput, template_enc: EncoderOutput,
                        extvocab: ExtendedVocab, vocabs: VocabSet, params: dict,
-                       max_len: int = 24, mode: str = "greedy",
+                       max_len: int = MAX_DESCRIPTION_LEN, mode: str = "greedy",
                        beam_width: int = 1) -> list[str]:
-    """Decode a description; copied OOV words are emitted verbatim."""
-    bos = vocabs.target_vocab[BOS]
-    eos = vocabs.target_vocab[EOS]
+    """Decode a description, copied OOV words verbatim; tapes unless under no_grad."""
 
     def step(prev_ext_id, state):
         prev = extvocab.decoder_input_id(prev_ext_id)
-        with no_grad():
-            dist, s_next = description_step(prev, state, enc, template_enc, extvocab, params)
+        dist, s_next = description_step(prev, state, enc, template_enc, extvocab, params)
         return np.log(dist.data + 1e-300), s_next
 
-    with no_grad():
-        s0 = init_description_state(enc.final, template_enc.final, params)
-    if mode == "greedy":
-        ids = search.greedy(step, s0, bos, eos, max_len)
-    elif mode == "beam":
-        ids = search.beam(step, s0, bos, eos, max_len, beam_width)
-    else:
-        raise TypedescError(f"unknown decoding mode '{mode}'")
+    ids = search.decode(step, init_description_state(enc.final, template_enc.final, params),
+                        vocabs.target_vocab[BOS], vocabs.target_vocab[EOS], max_len, mode,
+                        beam_width)
     return [extvocab.word(i) for i in ids]

@@ -91,21 +91,23 @@ class TwoStageModel:
 
     def generate(self, entity: Entity, mode: str = "greedy", beam_width: int = 1,
                  template_override: list[str] | None = None,
-                 max_template_len: int = 16, max_description_len: int = 24):
-        """Run both stages; returns (template tokens, description tokens)."""
-        source, enc = self.encode_entity(entity)
-        if template_override is not None:
-            template = list(template_override)
-        else:
-            template = stage1.generate_template(enc, self.vocabs, self.params,
-                                                max_template_len, mode, beam_width)
-        if not template:
-            template = [HED]  # stage 2 needs a non-empty template to condition on
-        template_enc = stage2.encode_template(template, self.vocabs, self.params)
-        extvocab = stage2.ExtendedVocab(self.vocabs, source)
-        description = stage2.decode_description(enc, template_enc, extvocab, self.vocabs,
-                                                self.params, max_description_len, mode,
-                                                beam_width)
+                 max_template_len: int = stage1.MAX_TEMPLATE_LEN,
+                 max_description_len: int = stage2.MAX_DESCRIPTION_LEN):
+        """Run both stages without a tape; returns (template tokens, description tokens)."""
+        with no_grad():
+            source, enc = self.encode_entity(entity)
+            if template_override is not None:
+                template = list(template_override)
+            else:
+                template = stage1.generate_template(enc, self.vocabs, self.params,
+                                                    max_template_len, mode, beam_width)
+            if not template:
+                template = [HED]  # stage 2 needs a non-empty template to condition on
+            template_enc = stage2.encode_template(template, self.vocabs, self.params)
+            extvocab = stage2.ExtendedVocab(self.vocabs, source)
+            description = stage2.decode_description(enc, template_enc, extvocab, self.vocabs,
+                                                    self.params, max_description_len, mode,
+                                                    beam_width)
         return template, description
 
 

@@ -61,10 +61,11 @@ def scaled_model(dims, vocabs, seed, scale=0.4):
 
 def template_exact_match(model, entities):
     hits = 0
-    for ent in entities:
-        _, enc = model.encode_entity(ent)
-        produced = stage1.generate_template(enc, model.vocabs, model.params, max_len=16)
-        hits += produced == model.gold_template(ent)
+    with dc.no_grad():
+        for ent in entities:
+            _, enc = model.encode_entity(ent)
+            produced = stage1.generate_template(enc, model.vocabs, model.params, max_len=16)
+            hits += produced == model.gold_template(ent)
     return hits / len(entities)
 
 

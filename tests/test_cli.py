@@ -1,10 +1,15 @@
 import json
+import os
+import stat
+import threading
 
+import numpy as np
 import pytest
 
 import synthdata
-from typedesc import cli
-from typedesc.corpus import write_jsonl
+from typedesc import cli, corpus
+from typedesc import diffcore as dc
+from typedesc.corpus import Entity, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -153,11 +158,7 @@ class TestGenerateCommand:
 
     def test_corrupt_checkpoint_version_errors(self, pipeline, tmp_path, capsys):
         data_dir, run_dir = pipeline
-        bad_dir = tmp_path / "bad_run"
-        bad_dir.mkdir()
-        for name in ("config.txt", "value_vocab.txt", "property_vocab.txt",
-                     "target_vocab.txt", "template_vocab.txt"):
-            (bad_dir / name).write_bytes((run_dir / name).read_bytes())
+        bad_dir = copy_run_files(run_dir, tmp_path / "bad_run")
         raw = bytearray((run_dir / "checkpoint.bin").read_bytes())
         raw[4] = 42
         (bad_dir / "checkpoint.bin").write_bytes(bytes(raw))
@@ -166,6 +167,96 @@ class TestGenerateCommand:
                    "--out", str(tmp_path / "p.jsonl"))
         assert code == 1
         assert "42" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,named", [("trailing", "trailing bytes"),
+                                              ("extra", "s2.extra"), ("shape", "s2.gen.b"),
+                                              ("missing", "s2.copy.b"),
+                                              ("twice", "'s2.copy.b' appears twice")])
+    def test_mismatched_checkpoint_errors(self, pipeline, tmp_path, capsys, damage, named):
+        data_dir, run_dir = pipeline
+        bad_dir = copy_run_files(run_dir, tmp_path / "bad_run")
+        params = dc.load_checkpoint(run_dir / "checkpoint.bin")
+        if damage == "extra":
+            params["s2.extra"] = dc.Tensor(np.zeros(2))
+        if damage == "shape":
+            params["s2.gen.b"] = dc.Tensor(np.zeros(3))
+        if damage == "missing":
+            del params["s2.copy.b"]
+        dc.save_checkpoint(bad_dir / "checkpoint.bin", params)
+        if damage == "trailing":
+            with open(bad_dir / "checkpoint.bin", "ab") as fh:
+                fh.write(b"\x00")
+        if damage == "twice":  # append a second copy of one entry and bump the count
+            dc.save_checkpoint(tmp_path / "one.bin", {"s2.copy.b": params["s2.copy.b"]})
+            raw = bytearray((bad_dir / "checkpoint.bin").read_bytes())
+            raw[8:12] = (len(params) + 1).to_bytes(4, "little")
+            raw += (tmp_path / "one.bin").read_bytes()[12:]
+            (bad_dir / "checkpoint.bin").write_bytes(bytes(raw))
+        code = run("generate", "--checkpoint", str(bad_dir / "checkpoint.bin"),
+                   "--input", str(data_dir / "test.jsonl"),
+                   "--out", str(tmp_path / "p.jsonl"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and len(err.splitlines()) == 1
+        assert named in err
+
+    def test_failure_keeps_earlier_out(self, pipeline, tmp_path, capsys):
+        data_dir, run_dir = pipeline
+        good = corpus.load_jsonl(data_dir / "train.jsonl")[:4]
+        blank = Entity("Qblank", "blank", "street", [("p1", "named after", "")] * 5)
+        write_jsonl(tmp_path / "good.jsonl", good)
+        write_jsonl(tmp_path / "bad.jsonl", good[:2] + [blank] + good[2:])
+        out = tmp_path / "preds.jsonl"
+        generate = ["generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                    "--out", str(out), "--input"]
+        assert run(*generate, str(tmp_path / "good.jsonl")) == 0
+        before = out.read_bytes()
+        assert len(before.splitlines()) == 4
+        capsys.readouterr()
+        assert run(*generate, str(tmp_path / "bad.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and "empty infobox" in err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "good.jsonl",
+                                                              "preds.jsonl"]
+
+    def test_symlinked_out_keeps_the_symlink(self, pipeline, tmp_path):
+        data_dir, run_dir = pipeline
+        target = tmp_path / "real.jsonl"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        assert run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                   "--input", str(data_dir / "test.jsonl"), "--out", str(link)) == 0
+        assert link.is_symlink() and link.resolve() == target
+        n = len(corpus.load_jsonl(data_dir / "test.jsonl"))
+        assert len(target.read_text().splitlines()) == n
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+
+    def test_fifo_out_is_written_in_place(self, pipeline, tmp_path):
+        data_dir, run_dir = pipeline
+        fifo = tmp_path / "preds.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                   "--input", str(data_dir / "test.jsonl"), "--out", str(fifo)) == 0
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert len(got) == 1
+        assert len(got[0].splitlines()) == len(corpus.load_jsonl(data_dir / "test.jsonl"))
+
+
+def copy_run_files(run_dir, bad_dir):
+    """A run directory with the config and vocabularies of `run_dir` and no checkpoint."""
+    bad_dir.mkdir()
+    for name in ("config.txt", "value_vocab.txt", "property_vocab.txt",
+                 "target_vocab.txt", "template_vocab.txt"):
+        (bad_dir / name).write_bytes((run_dir / name).read_bytes())
+    return bad_dir
 
 
 class TestEvaluateCommand:

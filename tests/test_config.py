@@ -1,0 +1,29 @@
+from dataclasses import fields
+
+from typedesc.config import RunConfig, load_config, save_config
+from typedesc.stage1 import ModelDims
+from typedesc.trainer import TrainConfig
+
+KEYS = ["lr", "beta1", "beta2", "eps", "batch_size", "max_epochs", "seed", "grad_clip_norm",
+        "validate_every", "early_stop_patience", "d_h", "d_word", "d_prop", "d_pos",
+        "value_vocab_size", "target_vocab_size", "max_position", "min_statements",
+        "max_template_len", "max_description_len"]
+
+
+def test_keys_are_pinned(tmp_path):
+    path = tmp_path / "config.txt"
+    save_config(RunConfig(), path)
+    assert [line.split(" = ")[0] for line in path.read_text().splitlines()] == KEYS
+
+
+def test_parts_keep_their_defaults():
+    assert RunConfig().train_config() == TrainConfig()
+    assert RunConfig().dims() == ModelDims()
+
+
+def test_round_trip_every_field(tmp_path):
+    changed = RunConfig(**{f.name: f.default * 3 + 1 for f in fields(RunConfig)})
+    assert all(getattr(changed, f.name) != f.default for f in fields(RunConfig))
+    path = tmp_path / "config.txt"
+    save_config(changed, path)
+    assert load_config(path) == changed

@@ -3,6 +3,8 @@ import pytest
 
 from typedesc import diffcore as dc
 from typedesc.errors import CheckpointError, ShapeMismatch, TypedescError
+from typedesc.stage1 import ModelDims
+from typedesc.trainer import TwoStageModel
 
 
 def param(rng, *shape, scale=0.5):
@@ -135,7 +137,7 @@ class TestGradCheck:
     def test_non_finite_loss_rejected(self):
         x = dc.Tensor(np.array([1.0]), requires_grad=True)
         with pytest.raises(TypedescError):
-            dc.grad_check(lambda: dc.log(x * 0.0).sum(), [x])
+            dc.grad_check(lambda: (x * float("inf")).sum(), [x])
 
 
 class TestBackwardLinearity:
@@ -245,4 +247,23 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(CheckpointError):
+            dc.load_checkpoint(path)
+
+    def test_every_strict_prefix_rejected(self, small_vocabs, tmp_path):
+        model = TwoStageModel.build(ModelDims(d_h=1, d_word=1, d_prop=1, d_pos=1),
+                                    small_vocabs, seed=0)
+        path = tmp_path / "model.bin"
+        dc.save_checkpoint(path, model.params)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                dc.load_checkpoint(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        dc.save_checkpoint(path, {"w": dc.Tensor(np.zeros(2), requires_grad=True)})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
             dc.load_checkpoint(path)

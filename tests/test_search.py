@@ -60,3 +60,24 @@ class TestBeam:
     def test_invalid_width(self):
         with pytest.raises(TypedescError):
             search.beam(step_fn([[1.0, 0.0, 0.0]]), 0, 0, EOS, 3, 0)
+
+
+class TestDispatch:
+    def test_parse_mode(self):
+        assert search.parse_mode("greedy") == ("greedy", 1)
+        assert search.parse_mode("beam:4") == ("beam", 4)
+
+    @pytest.mark.parametrize("text", ["beam:", "beam:x", "magic"])
+    def test_parse_mode_rejects(self, text):
+        with pytest.raises(TypedescError):
+            search.parse_mode(text)
+
+    def test_beam_one_equals_greedy(self):
+        fn = step_fn([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+        assert (search.decode(fn, 0, 0, EOS, 6, "beam", 1)
+                == search.decode(fn, 0, 0, EOS, 6, "greedy", 1)
+                == search.greedy(fn, 0, 0, EOS, 6))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(TypedescError, match="magic"):
+            search.decode(step_fn([[1.0, 0.0, 0.0]]), 0, 0, EOS, 3, "magic", 1)
