@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import annotator, corpus, diffcore, metrics, search
@@ -86,15 +86,11 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data_dir)
     data_cfg = load_config(data_dir / "config.txt")
     cfg = load_config(args.config) if args.config else RunConfig()
-    for flag in ("seed", "max_epochs", "lr", "batch_size"):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(cfg, flag, value)
+    flags = {flag: value for flag in ("seed", "max_epochs", "lr", "batch_size")
+             if (value := getattr(args, flag)) is not None}
     # vocabulary geometry is fixed by the prepared data, not the run config
-    cfg.max_position = data_cfg.max_position
-    cfg.value_vocab_size = data_cfg.value_vocab_size
-    cfg.target_vocab_size = data_cfg.target_vocab_size
-    cfg.min_statements = data_cfg.min_statements
+    data_fields = ("max_position", "value_vocab_size", "target_vocab_size", "min_statements")
+    cfg = replace(cfg, **flags, **{name: getattr(data_cfg, name) for name in data_fields})
 
     data = corpus.DatasetSplit(
         train=corpus.load_jsonl(data_dir / "train.jsonl"),
@@ -143,19 +139,9 @@ def cmd_generate(args) -> int:
             "template": " ".join(template),
             "hypothesis": " ".join(description),
         }, ensure_ascii=False) + "\n")
-    # every entity is decoded first; a regular --out is then replaced in one rename
-    if os.path.exists(args.out) and not os.path.isfile(args.out):  # e.g. /dev/stdout
-        Path(args.out).write_text("".join(lines), encoding="utf-8")
-    else:
-        out = Path(os.path.realpath(args.out))  # a symlink's target, not the symlink
-        tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text("".join(lines), encoding="utf-8")
-            if out.exists():
-                shutil.copymode(out, tmp)
-            os.replace(tmp, out)
-        finally:
-            tmp.unlink(missing_ok=True)
+    # every entity is decoded before --out is touched
+    with diffcore.atomic_write(args.out, encoding="utf-8") as fh:
+        fh.write("".join(lines))
     print(f"generated {len(entities)} descriptions into {args.out}")
     return 0
 

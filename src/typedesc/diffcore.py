@@ -3,17 +3,19 @@
 A deliberately small engine: numpy holds the arrays, each op records its
 parents and a backward closure, and `Tensor.backward()` walks the tape in
 reverse topological order. Covers exactly the ops the two-stage generator
-needs, plus a GRU cell, Adam, finite-difference gradient checking and a
-binary checkpoint format. Correctness over speed throughout.
+needs, plus a GRU that is one node per step or per sequence, Adam,
+finite-difference gradient checking and a binary checkpoint format.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import shutil
 import struct
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,19 +258,13 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(parts), backprop)
 
 
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    """Stack vectors into a matrix, one row per vector."""
-
-    def backprop(g):
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
-
-    return _make(np.stack([r.data for r in rows], axis=0), tuple(rows), backprop)
+def _sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    e = np.exp(-np.abs(a.data))
-    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _sigmoid(a.data)
     return _make(y, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
 
 
@@ -299,7 +295,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Row(s) of an embedding table; int id gives a vector, a list gives a matrix."""
+    """Row(s) of a matrix such as an embedding table; an int gives a vector, a list a matrix."""
     idx = np.asarray(ids)
 
     def backprop(g):
@@ -371,11 +367,10 @@ def zeros(shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GRUWeights:
+class GRUWeights(NamedTuple):
     wz: Tensor
     uz: Tensor
     bz: Tensor
@@ -387,16 +382,96 @@ class GRUWeights:
     bh: Tensor
 
 
-def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
-    """One GRU step.
+# One GRU step on raw arrays, given the input part W x + b of each gate:
+#   z = sig(az + Uz h); r = sig(ar + Ur h)
+#   hbar = tanh(ah + Uh (r*h)); h' = (1-z)*h + z*hbar
+# gru_cell and gru_sequence both run it, and both backpropagate through
+# _gru_step_grad and _gru_param_grads, so each op is one graph node.
 
-    z = sig(Wz x + Uz h + bz); r = sig(Wr x + Ur h + br)
-    hbar = tanh(Wh x + Uh (r*h) + bh); h' = (1-z)*h + z*hbar
+def _gru_step(az, ar, ah, h, w: GRUWeights):
+    """h' and the values its backward needs, (z, r, r*h, hbar)."""
+    z = _sigmoid(az + w.uz.data @ h)
+    r = _sigmoid(ar + w.ur.data @ h)
+    rh = r * h
+    hbar = np.tanh(ah + w.uh.data @ rh)
+    return (1.0 - z) * h + z * hbar, (z, r, rh, hbar)
+
+
+def _gru_step_grad(g, h, saved, w: GRUWeights):
+    """Gradients of the gate input parts and of h, from g, the gradient of h'."""
+    z, r, _rh, hbar = saved
+    dah = g * z * (1.0 - hbar * hbar)
+    drh = dah @ w.uh.data
+    daz = g * (hbar - h) * z * (1.0 - z)
+    dar = drh * h * r * (1.0 - r)
+    dh = g * (1.0 - z) + drh * r + daz @ w.uz.data + dar @ w.ur.data
+    return daz, dar, dah, dh
+
+
+def _gru_param_grads(w: GRUWeights, xs, hs, rhs, daz, dar, dah):
+    """Accumulate the weight gradients and return the input gradient.
+
+    Row t of xs, hs and rhs holds step t's x, h and r*h, and row t of
+    daz, dar and dah its gate input-part gradients; each weight gradient is
+    one product over all steps.
     """
-    z = sigmoid(w.wz @ x + w.uz @ h + w.bz)
-    r = sigmoid(w.wr @ x + w.ur @ h + w.br)
-    hbar = tanh(w.wh @ x + w.uh @ (r * h) + w.bh)
-    return (1.0 - z) * h + z * hbar
+    for wx, u, b, da, hu in ((w.wz, w.uz, w.bz, daz, hs), (w.wr, w.ur, w.br, dar, hs),
+                             (w.wh, w.uh, w.bh, dah, rhs)):
+        _accum(wx, da.T @ xs)
+        _accum(u, da.T @ hu)
+        _accum(b, da.sum(axis=0))
+    return daz @ w.wz.data + dar @ w.wr.data + dah @ w.wh.data
+
+
+def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
+    """One GRU step from input vector x and state h, as one graph node."""
+    xd, hd = x.data, h.data
+    h_next, saved = _gru_step(w.wz.data @ xd + w.bz.data, w.wr.data @ xd + w.br.data,
+                              w.wh.data @ xd + w.bh.data, hd, w)
+
+    def backprop(g):
+        daz, dar, dah, dh = _gru_step_grad(g, hd, saved, w)
+        _accum(h, dh)
+        _accum(x, _gru_param_grads(w, xd[None], hd[None], saved[2][None], daz[None],
+                                   dar[None], dah[None])[0])
+
+    return _make(h_next, (x, h, *w), backprop)
+
+
+def gru_sequence(xs: Tensor, h0: Tensor, w: GRUWeights, reverse: bool = False) -> Tensor:
+    """GRU states over the rows of xs from state h0, as one graph node.
+
+    The gates' input parts W x + b of every step are one matrix product per
+    gate (Appleyard et al. 2016). Row t of the result is the state after
+    reading row t; with `reverse` the steps read the rows last to first.
+    """
+    if xs.data.ndim != 2:
+        raise ShapeMismatch(f"gru_sequence expects a matrix of inputs, got shape {xs.shape}")
+    inputs = xs.data[::-1] if reverse else xs.data
+    az = inputs @ w.wz.data.T + w.bz.data
+    ar = inputs @ w.wr.data.T + w.br.data
+    ah = inputs @ w.wh.data.T + w.bh.data
+    steps = inputs.shape[0]
+    hs = np.empty((steps + 1, h0.data.shape[0]))  # hs[t] is the state before step t
+    hs[0] = h0.data
+    saved = []
+    for t in range(steps):
+        hs[t + 1], step_saved = _gru_step(az[t], ar[t], ah[t], hs[t], w)
+        saved.append(step_saved)
+
+    def backprop(g):
+        g = g[::-1] if reverse else g
+        daz, dar, dah = (np.empty_like(az) for _ in range(3))
+        dh = np.zeros_like(hs[0])
+        for t in range(steps - 1, -1, -1):
+            daz[t], dar[t], dah[t], dh = _gru_step_grad(g[t] + dh, hs[t], saved[t], w)
+        _accum(h0, dh)
+        rhs = np.array([s[2] for s in saved])
+        dxs = _gru_param_grads(w, inputs, hs[:-1], rhs, daz, dar, dah)
+        _accum(xs, dxs[::-1] if reverse else dxs)
+
+    states = hs[1:]
+    return _make(states[::-1] if reverse else states, (xs, h0, *w), backprop)
 
 
 def init_gru(params: dict, prefix: str, d_in: int, d_h: int, rng):
@@ -436,12 +511,14 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self):
+        """One update; a non-finite gradient raises before any parameter moves."""
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise TypedescError(f"non-finite gradient for parameter '{name}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise TypedescError(f"non-finite gradient for parameter '{name}'")
             m = self.m[name]
             v = self.v[name]
             m *= b1
@@ -518,9 +595,35 @@ CHECKPOINT_MAGIC = b"TDCK"
 CHECKPOINT_VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open `path` for writing so that a failure part-way leaves its earlier contents.
+
+    A missing or regular file, or the file a symlink points to, is written as a
+    temp file beside it and renamed over it, keeping its mode. A device or FIFO
+    such as /dev/stdout is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **open_kwargs) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_checkpoint(path, params: dict):
     """Names to shapes and raw little-endian float64 payloads, with a version header."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(params)))

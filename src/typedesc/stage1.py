@@ -15,7 +15,7 @@ import numpy as np
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_weights, init_gru, matmul, softmax, stack_rows, tanh,
+                       gru_sequence, gru_weights, init_gru, matmul, softmax, tanh,
                        transpose, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS
@@ -66,19 +66,15 @@ def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet, params: dict) ->
     if not tokens:
         raise TypedescError("cannot encode an empty infobox")
     gru = gru_weights(params, "enc.gru")
-    d_h = gru.uz.data.shape[0]
-    h = zeros(d_h)
-    states = []
-    for tok in tokens:
-        x = concat([
-            embedding_lookup(params["enc.word_emb"], vocabs.value_id(tok.word)),
-            embedding_lookup(params["enc.prop_emb"], vocabs.property_id(tok.property)),
-            embedding_lookup(params["enc.pos_emb"],
-                             min(tok.position, vocabs.position_count - 1)),
-        ])
-        h = gru_cell(x, h, gru)
-        states.append(h)
-    return EncoderOutput(states=stack_rows(states), final=h)
+    xs = concat([
+        embedding_lookup(params["enc.word_emb"], [vocabs.value_id(t.word) for t in tokens]),
+        embedding_lookup(params["enc.prop_emb"],
+                         [vocabs.property_id(t.property) for t in tokens]),
+        embedding_lookup(params["enc.pos_emb"],
+                         [min(t.position, vocabs.position_count - 1) for t in tokens]),
+    ], axis=1)
+    states = gru_sequence(xs, zeros(gru.uz.data.shape[0]), gru)
+    return EncoderOutput(states=states, final=embedding_lookup(states, len(tokens) - 1))
 
 
 def attend_general(states: Tensor, s_prev: Tensor, w: Tensor):

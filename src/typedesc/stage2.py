@@ -13,8 +13,8 @@ import numpy as np
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_weights, init_gru, matmul, scatter_add, sigmoid, softmax,
-                       stack_rows, tanh, uniform_param, zeros)
+                       gru_sequence, gru_weights, init_gru, matmul, scatter_add, sigmoid,
+                       softmax, tanh, transpose, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS, UNK
 from .stage1 import EncoderOutput, ModelDims, attend_general
@@ -112,27 +112,16 @@ def encode_template(template_tokens: list[str], vocabs: VocabSet, params: dict) 
     """Bidirectional GRU over the template, projected back to d_h per position."""
     if not template_tokens:
         raise TypedescError("cannot encode an empty template")
-    ids = [vocabs.template_id(t) for t in template_tokens]
-    embs = [embedding_lookup(params["s2.tmpl_emb"], i) for i in ids]
+    embs = embedding_lookup(params["s2.tmpl_emb"],
+                            [vocabs.template_id(t) for t in template_tokens])
     fw = gru_weights(params, "s2.fw")
     bw = gru_weights(params, "s2.bw")
-    d_h = fw.uz.data.shape[0]
-
-    h = zeros(d_h)
-    forward = []
-    for x in embs:
-        h = gru_cell(x, h, fw)
-        forward.append(h)
-    h = zeros(d_h)
-    backward = [None] * len(embs)
-    for i in range(len(embs) - 1, -1, -1):
-        h = gru_cell(embs[i], h, bw)
-        backward[i] = h
-
-    states = []
-    for f, b in zip(forward, backward):
-        states.append(matmul(params["s2.proj.w"], concat([f, b])) + params["s2.proj.b"])
-    return EncoderOutput(states=stack_rows(states), final=states[-1])
+    h0 = zeros(fw.uz.data.shape[0])
+    both = concat([gru_sequence(embs, h0, fw), gru_sequence(embs, h0, bw, reverse=True)],
+                  axis=1)
+    states = matmul(both, transpose(params["s2.proj.w"])) + params["s2.proj.b"]
+    return EncoderOutput(states=states,
+                         final=embedding_lookup(states, len(template_tokens) - 1))
 
 
 def init_description_state(enc_final: Tensor, template_final: Tensor, params: dict) -> Tensor:

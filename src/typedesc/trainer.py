@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ import numpy as np
 
 from . import annotator, stage1, stage2
 from .corpus import DatasetSplit, Entity, VocabSet, reconstruct_infobox
-from .diffcore import Adam, Tensor, add_n, clip_gradients, no_grad, save_checkpoint
+from .diffcore import (Adam, Tensor, add_n, atomic_write, clip_gradients, no_grad,
+                       save_checkpoint)
 from .errors import TrainingDiverged, TypedescError
 from .lexicon import HED
 from .stage1 import ModelDims
@@ -30,12 +32,6 @@ class TrainConfig:
     grad_clip_norm: float = 5.0
     validate_every: int = 1
     early_stop_patience: int = 5
-
-    def __post_init__(self):
-        if self.lr < 0:
-            raise TypedescError(f"lr must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise TypedescError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 class TwoStageModel:
@@ -130,9 +126,9 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
     """Adam over shuffled epochs with gradient clipping and best-valid checkpointing.
 
     Runs are bit-for-bit reproducible under a fixed seed. On a non-finite
-    loss the best checkpoint so far is written before raising. `on_epoch`,
-    when given, is called as on_epoch(epoch, model) after each epoch and may
-    return True to stop early.
+    loss or gradient norm the best checkpoint so far and the log are written
+    before TrainingDiverged is raised. `on_epoch`, when given, is called as
+    on_epoch(epoch, model) after each epoch and may return True to stop early.
     """
     if not data.train:
         raise TypedescError("training split is empty")
@@ -156,7 +152,7 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
         model.load_arrays(best_arrays)
         if out_dir is not None:
             save_checkpoint(out_dir / "checkpoint.bin", model.params)
-            with open(out_dir / "train_log.csv", "w", newline="", encoding="utf-8") as fh:
+            with atomic_write(out_dir / "train_log.csv", newline="", encoding="utf-8") as fh:
                 writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss",
                                                         "valid_loss", "seconds"])
                 writer.writeheader()
@@ -178,7 +174,9 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
             batch_loss = add_n(losses) * (1.0 / len(losses))
             optimizer.zero_grads()
             batch_loss.backward()
-            clip_gradients(model.params, config.grad_clip_norm)
+            if not math.isfinite(clip_gradients(model.params, config.grad_clip_norm)):
+                finish(f"non-finite gradient at step {len(step_losses) + 1}; "
+                       "best checkpoint retained")
             optimizer.step()
             value = batch_loss.item()
             step_losses.append(value)

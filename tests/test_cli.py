@@ -121,6 +121,32 @@ class TestTrainCommand:
         assert code == 1
         assert "warp_speed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config_line,flags,named", [
+        ("d_h = -3", (), "d_h"), ("d_word = 0", (), "d_word"),
+        ("validate_every = 0", (), "validate_every"), ("lr = -1", (), "lr"),
+        ("lr = nan", (), "lr"), ("beta2 = 1.0", (), "beta2"), ("eps = 0", (), "eps"),
+        ("max_description_len = 0", (), "max_description_len"),
+        ("", ("--batch-size", "0"), "batch_size"), ("", ("--seed", "-1"), "seed")])
+    def test_bad_config_value_errors(self, pipeline, tmp_path, capsys, config_line, flags,
+                                     named):
+        data_dir, _ = pipeline
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"max_epochs = 1\n{config_line}\n", encoding="utf-8")
+        code = run("train", "--data-dir", str(data_dir), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "run"), *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and len(err.splitlines()) == 1
+        assert f"{named} must be" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_prepare_value_errors(self, raw_corpus, tmp_path, capsys):
+        code = run("prepare", "--input", str(raw_corpus), "--out-dir", str(tmp_path / "d"),
+                   "--min-statements", "-1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and "min_statements must be" in err
+
 
 class TestGenerateCommand:
     def test_writes_template_and_hypothesis(self, pipeline, tmp_path):

@@ -1,6 +1,9 @@
 from dataclasses import fields
 
+import pytest
+
 from typedesc.config import RunConfig, load_config, save_config
+from typedesc.errors import TypedescError
 from typedesc.stage1 import ModelDims
 from typedesc.trainer import TrainConfig
 
@@ -22,8 +25,24 @@ def test_parts_keep_their_defaults():
 
 
 def test_round_trip_every_field(tmp_path):
-    changed = RunConfig(**{f.name: f.default * 3 + 1 for f in fields(RunConfig)})
+    changed = RunConfig(**{f.name: f.default * 3 + 1 if f.type == "int" else f.default / 2
+                           for f in fields(RunConfig)})
     assert all(getattr(changed, f.name) != f.default for f in fields(RunConfig))
     path = tmp_path / "config.txt"
     save_config(changed, path)
     assert load_config(path) == changed
+
+
+@pytest.mark.parametrize("bad", [{"d_h": 0}, {"validate_every": 0}, {"lr": float("inf")},
+                                 {"beta1": -0.1}, {"grad_clip_norm": 0.0},
+                                 {"target_vocab_size": 3}, {"max_position": 0}])
+def test_out_of_range_field_rejected(bad):
+    with pytest.raises(TypedescError, match=f"{next(iter(bad))} must be"):
+        RunConfig(**bad)
+
+
+def test_load_config_checks_ranges(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("lr = -1\n", encoding="utf-8")
+    with pytest.raises(TypedescError, match="lr must be >= 0.0"):
+        load_config(path)

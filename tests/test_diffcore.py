@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,90 @@ class TestGRUCell:
         err = dc.grad_check(lambda: (dc.gru_cell(x, h, w) * probe).sum(),
                             [x, h] + list(p.values()), epsilon=1e-5)
         assert err < 1e-4
+
+
+def _unfused_gru_cell(x, h, w):
+    """Reference GRU step built from elementwise ops, one node per op."""
+    z = dc.sigmoid(w.wz @ x + w.uz @ h + w.bz)
+    r = dc.sigmoid(w.wr @ x + w.ur @ h + w.br)
+    hbar = dc.tanh(w.wh @ x + w.uh @ (r * h) + w.bh)
+    return (1.0 - z) * h + z * hbar
+
+
+def random_gru(rng, d_in, d_h, scale=0.5):
+    p = {}
+    dc.init_gru(p, "g", d_in, d_h, rng)
+    for t in p.values():
+        t.data = rng.normal(0.0, scale, size=t.data.shape)
+    return dc.gru_weights(p, "g")
+
+
+def grads_of(loss_fn, tensors):
+    for t in tensors:
+        t.grad = None
+    loss_fn().backward()
+    return [t.grad.copy() for t in tensors]
+
+
+class TestFusedGRU:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cell_matches_unfused_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        w = random_gru(rng, 7, 5)
+        x, h = param(rng, 7, scale=1.0), param(rng, 5, scale=1.0)
+        probe = dc.Tensor(rng.normal(size=5))
+        fused = dc.gru_cell(x, h, w)
+        assert np.max(np.abs(fused.data - _unfused_gru_cell(x, h, w).data)) <= 1e-13
+        parents = [x, h, *w]
+        got = grads_of(lambda: (dc.gru_cell(x, h, w) * probe).sum(), parents)
+        want = grads_of(lambda: (_unfused_gru_cell(x, h, w) * probe).sum(), parents)
+        for g, r in zip(got, want):
+            assert np.max(np.abs(g - r)) <= 1e-10 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_sequence_gradient_matches_finite_differences(self, steps, reverse):
+        rng = np.random.default_rng(10 * steps + reverse)
+        w = random_gru(rng, 5, 5)
+        xs, h0 = param(rng, steps, 5), param(rng, 5)
+        probe = dc.Tensor(rng.normal(size=(steps, 5)))
+        # at the default step, cancellation noise swamps the smallest gradient elements
+        err = dc.grad_check(lambda: (dc.gru_sequence(xs, h0, w, reverse=reverse)
+                                     * probe).sum(), [xs, h0, *w], epsilon=1e-4)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_sequence_matches_a_loop_of_cells(self, reverse):
+        rng = np.random.default_rng(21)
+        w = random_gru(rng, 6, 4)
+        xs, h0 = param(rng, 5, 6, scale=1.0), param(rng, 4, scale=1.0)
+        probe = dc.Tensor(rng.normal(size=(5, 4)))
+
+        def looped():
+            h, states = h0, [None] * 5
+            for i in (range(4, -1, -1) if reverse else range(5)):
+                h = states[i] = dc.gru_cell(dc.embedding_lookup(xs, i), h, w)
+            return states
+
+        seq = dc.gru_sequence(xs, h0, w, reverse=reverse)
+        assert np.max(np.abs(seq.data - np.array([s.data for s in looped()]))) <= 1e-12
+        parents = [xs, h0, *w]
+        got = grads_of(lambda: (dc.gru_sequence(xs, h0, w, reverse=reverse) * probe).sum(),
+                       parents)
+        want = grads_of(lambda: dc.add_n([(s * dc.Tensor(probe.data[i])).sum()
+                                          for i, s in enumerate(looped())]), parents)
+        for g, r in zip(got, want):
+            assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+    def test_each_call_is_one_node(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        w = random_gru(rng, 3, 2)
+        made = []
+        real = dc._make
+        monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+        dc.gru_cell(param(rng, 3), param(rng, 2), w)
+        dc.gru_sequence(param(rng, 6, 3), param(rng, 2), w, reverse=True)
+        assert len(made) == 2
 
 
 class TestGradCheck:
@@ -197,6 +283,16 @@ class TestAdam:
         with pytest.raises(TypedescError, match="p"):
             opt.step()
 
+    def test_non_finite_gradient_moves_no_parameter(self):
+        first = dc.Tensor(np.array([1.0]), requires_grad=True)
+        last = dc.Tensor(np.array([2.0]), requires_grad=True)
+        opt = dc.Adam({"first": first, "last": last}, lr=0.1)
+        first.grad, last.grad = np.array([1.0]), np.array([np.inf])
+        with pytest.raises(TypedescError, match="last"):
+            opt.step()
+        assert (first.data[0], last.data[0], opt.t) == (1.0, 2.0, 0)
+        np.testing.assert_array_equal(opt.m["first"], [0.0])
+
 
 class TestClip:
     def test_scales_to_max_norm(self):
@@ -260,6 +356,19 @@ class TestCheckpoint:
             cut.write_bytes(raw[:n])
             with pytest.raises(CheckpointError):
                 dc.load_checkpoint(cut)
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        dc.save_checkpoint(path, {"w": dc.Tensor(np.ones(2), requires_grad=True)})
+        before = path.read_bytes()
+        # the second name is too long for its 16-bit length field, so the write
+        # fails after the first parameter
+        params = {"w": dc.Tensor(np.zeros(2), requires_grad=True),
+                  "x" * 70000: dc.Tensor(np.zeros(1), requires_grad=True)}
+        with pytest.raises(struct.error):
+            dc.save_checkpoint(path, params)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from typedesc import diffcore as dc
-from typedesc import stage1, stage2
+from typedesc import stage1, stage2, trainer
 from typedesc.corpus import DatasetSplit
 from typedesc.errors import TrainingDiverged
 from typedesc.lexicon import EOS
@@ -118,6 +118,19 @@ class TestJointLoss:
                    for n, p in model.params.items() if n.startswith("s1."))
 
 
+def test_joint_loss_node_count(monkeypatch):
+    # every GRU call is one graph node; a GRU built from per-op nodes again
+    # (1,030 nodes here) fails this bound
+    from test_acceptance import micro_entity, micro_vocabs
+    model = TwoStageModel.build(stage1.ModelDims(d_h=4, d_word=4, d_prop=3, d_pos=3),
+                                micro_vocabs(), seed=0)
+    made = []
+    real = dc._make
+    monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+    model.joint_loss(micro_entity())
+    assert len(made) <= 474
+
+
 class TestTrain:
     def split(self, ents, n_valid=0):
         if n_valid:
@@ -158,6 +171,27 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(data, cfg, dims, vocabs, out_dir=tmp_path)
         assert (tmp_path / "checkpoint.bin").exists()
+
+    def test_non_finite_gradient_aborts_with_checkpoint_and_log(self, corpus, tmp_path,
+                                                                monkeypatch):
+        ents, vocabs, dims = corpus
+        data = self.split(ents[:4])
+        cfg = TrainConfig(max_epochs=3, batch_size=2, seed=2)
+        steps = []
+
+        def poisoned_clip(params, max_norm):
+            steps.append(1)
+            if len(steps) == 3:  # the first step of epoch 2
+                params["s2.gen.b"].grad[0] = np.nan
+            return dc.clip_gradients(params, max_norm)
+
+        monkeypatch.setattr(trainer, "clip_gradients", poisoned_clip)
+        with pytest.raises(TrainingDiverged, match="gradient"):
+            train(data, cfg, dims, vocabs, out_dir=tmp_path)
+        log = (tmp_path / "train_log.csv").read_text().splitlines()
+        assert log[0] == "epoch,train_loss,valid_loss,seconds" and len(log) == 2
+        loaded = dc.load_checkpoint(tmp_path / "checkpoint.bin")
+        assert np.all(np.isfinite(loaded["s2.gen.b"].data))
 
     def test_writes_checkpoint_and_log(self, corpus, tmp_path):
         ents, vocabs, dims = corpus
