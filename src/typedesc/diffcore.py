@@ -2,9 +2,11 @@
 
 A deliberately small engine: numpy holds the arrays, each op records its
 parents and a backward closure, and `Tensor.backward()` walks the tape in
-reverse topological order. Covers exactly the ops the two-stage generator
-needs, plus a GRU that is one node per step or per sequence, Adam,
-finite-difference gradient checking and a binary checkpoint format.
+reverse topological order, then forms each parameter's weight gradient from
+the rows every step sent it as one matrix product. Covers exactly the ops
+the two-stage generator needs, plus a GRU that is one node per step or per
+sequence, Adam, finite-difference gradient checking and a binary checkpoint
+format.
 """
 
 from __future__ import annotations
@@ -64,9 +66,18 @@ class Tensor:
             raise TypedescError(f"backward needs a scalar root, got shape {self.data.shape}")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backprop is not None:
-                node._backprop(node.grad)
+        try:
+            for node in reversed(order):
+                if node._backprop is not None:
+                    node._backprop(node.grad)
+            for leaf, gs, xs in _PENDING.values():
+                prod = np.concatenate(gs).T @ np.concatenate(xs)
+                if leaf.grad is None:
+                    leaf.grad = prod
+                else:
+                    leaf.grad += prod
+        finally:
+            _PENDING.clear()
 
     def sum(self, axis=None):
         return reduce_sum(self, axis)
@@ -131,6 +142,23 @@ def _accum(t: Tensor, g):
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad += g
+
+
+# While a backward runs, the weight-gradient rows sent to each leaf (a
+# parameter: requires_grad, no backprop), keyed by id. Tensor.backward reduces
+# each leaf's rows in one product at its end (Appleyard et al. 2016) and
+# always leaves this empty.
+_PENDING: dict[int, tuple[Tensor, list, list]] = {}
+
+
+def _accum_outer(t: Tensor, g, x):
+    """Accumulate g.T @ x into t's gradient; g and x are matrices whose rows pair up."""
+    if t._backprop is not None:
+        _accum(t, g.T @ x)
+    elif t.requires_grad:
+        _, gs, xs = _PENDING.setdefault(id(t), (t, [], []))
+        gs.append(g)
+        xs.append(x)
 
 
 def _unbroadcast(g, shape):
@@ -202,7 +230,7 @@ def _scalar_mul(a: Tensor, s) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for (2d,2d), (2d,1d) and (1d,2d) operands."""
+    """Matrix/vector product for (2d,2d) and (2d,1d) operands."""
     ad, bd = a.data, b.data
     if ad.ndim == 2 and bd.ndim == 2:
         if ad.shape[1] != bd.shape[0]:
@@ -217,16 +245,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
         def backprop(g):
-            _accum(a, np.outer(g, bd))
+            _accum_outer(a, g[None], bd[None])
             _accum(b, ad.T @ g)
-
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-        def backprop(g):
-            _accum(a, bd @ g)
-            _accum(b, np.outer(ad, g))
 
     else:
         raise ShapeMismatch(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
@@ -260,7 +280,7 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 
 def _sigmoid(x):
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -417,8 +437,8 @@ def _gru_param_grads(w: GRUWeights, xs, hs, rhs, daz, dar, dah):
     """
     for wx, u, b, da, hu in ((w.wz, w.uz, w.bz, daz, hs), (w.wr, w.ur, w.br, dar, hs),
                              (w.wh, w.uh, w.bh, dah, rhs)):
-        _accum(wx, da.T @ xs)
-        _accum(u, da.T @ hu)
+        _accum_outer(wx, da, xs)
+        _accum_outer(u, da, hu)
         _accum(b, da.sum(axis=0))
     return daz @ w.wz.data + dar @ w.wr.data + dah @ w.wh.data
 
@@ -497,7 +517,7 @@ def uniform_param(rng, shape, scale: float = 0.08) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction over a named parameter dict."""
+    """Adam with bias correction over a named parameter dict, updated in place."""
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -509,25 +529,37 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        largest = max((p.data.size for p in params.values()), default=0)
+        self._scratch = (np.empty(largest), np.empty(largest))
 
     def step(self):
-        """One update; a non-finite gradient raises before any parameter moves."""
+        """One update; a non-finite gradient raises before any parameter moves.
+
+        Each parameter takes the textbook expressions in their usual order,
+        m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t),
+        p -= lr * m_hat / (sqrt(v_hat) + eps), computed into two scratch buffers.
+        """
         for name, p in self.params.items():
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise TypedescError(f"non-finite gradient for parameter '{name}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            g = p.grad if p.grad is not None else 0.0
             m = self.m[name]
             v = self.v[name]
+            a, b = (s[:p.data.size].reshape(p.data.shape) for s in self._scratch)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=a)
             v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(1.0 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, 1.0 - b1 ** self.t, out=a)
+            a *= self.lr
+            np.divide(v, 1.0 - b2 ** self.t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            p.data -= np.divide(a, b, out=a)
 
     def zero_grads(self):
         for p in self.params.values():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ class TestForwardValues:
         b = dc.Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeMismatch, match=r"\(2, 3\).*\(2, 3\)"):
             dc.matmul(a, b)
+
+    def test_vector_matrix_matmul_rejected(self):
+        with pytest.raises(ShapeMismatch, match=r"\(3,\).*\(3, 4\)"):
+            dc.matmul(dc.Tensor(np.zeros(3)), dc.Tensor(np.zeros((3, 4))))
+
+    @pytest.mark.parametrize("size", [4, 64, 256, 10_000])
+    def test_sigmoid_matches_the_two_division_form(self, size):
+        x = np.random.default_rng(size).normal(0.0, 10.0, size=size)
+        x[:4] = [0.0, 800.0, -800.0, np.nan]
+        e = np.exp(-np.abs(x))
+        reference = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(dc._sigmoid(x), reference, equal_nan=True)
 
     def test_backward_needs_scalar(self):
         t = dc.Tensor(np.zeros(3), requires_grad=True)
@@ -169,6 +182,101 @@ class TestFusedGRU:
         assert len(made) == 2
 
 
+def outer_sum(gs, xs):
+    return sum(np.outer(g, x) for g, x in zip(gs, xs))
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestDeferredWeightGradients:
+    """A parameter's gradient rows are reduced in one product at the end of backward."""
+
+    def test_matmul_over_steps_is_the_sum_of_outer_products(self):
+        rng = np.random.default_rng(30)
+        w = param(rng, 5, 4)
+        xs = [dc.Tensor(rng.normal(size=4)) for _ in range(4)]
+        probes = [rng.normal(size=5) for _ in range(4)]
+        dc.add_n([(dc.matmul(w, x) * dc.Tensor(p)).sum() for x, p in zip(xs, probes)]).backward()
+        assert_close_relative(w.grad, outer_sum(probes, [x.data for x in xs]))
+
+    def test_unrolled_gru_cell_is_the_sum_of_outer_products(self):
+        rng = np.random.default_rng(31)
+        w = random_gru(rng, 3, 4)
+        xs = [rng.normal(size=3) for _ in range(4)]
+        h0 = param(rng, 4)
+        probes = [dc.Tensor(rng.normal(size=4)) for _ in range(4)]
+
+        def loss(weights):
+            """Sum of probed states, and the state before each step."""
+            h, losses, hs = h0, [], []
+            for x, wt, probe in zip(xs, weights, probes):
+                hs.append(h.data)
+                h = dc.gru_cell(dc.Tensor(x), h, wt)
+                losses.append((h * probe).sum())
+            return dc.add_n(losses), hs
+
+        shared, hs = loss([w] * 4)
+        shared.backward()
+        # one copy of the weights per step: each step's bias gradient is its gate gradient
+        copies = [dc.GRUWeights(*(dc.Tensor(t.data.copy(), requires_grad=True) for t in w))
+                  for _ in xs]
+        loss(copies)[0].backward()
+        daz, dar, dah = ([c[i].grad for c in copies] for i in (2, 5, 8))
+        rhs = [h / (1.0 + np.exp(-(w.wr.data @ x + w.ur.data @ h + w.br.data)))
+               for x, h in zip(xs, hs)]
+        for got, want in ((w.wz, outer_sum(daz, xs)), (w.uz, outer_sum(daz, hs)),
+                          (w.wr, outer_sum(dar, xs)), (w.ur, outer_sum(dar, hs)),
+                          (w.wh, outer_sum(dah, xs)), (w.uh, outer_sum(dah, rhs)),
+                          (w.bz, sum(daz)), (w.br, sum(dar)), (w.bh, sum(dah))):
+            assert_close_relative(got.grad, want)
+
+    def test_weight_reached_by_two_paths_gets_both(self):
+        rng = np.random.default_rng(32)
+        w = param(rng, 4, 3)
+        x, p = rng.normal(size=3), rng.normal(size=4)
+        a, q = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
+        ((dc.matmul(w, dc.Tensor(x)) * dc.Tensor(p)).sum()
+         + (dc.matmul(dc.Tensor(a), w) * dc.Tensor(q)).sum()
+         + (dc.transpose(w) * dc.Tensor(q[:1].T @ p[None])).sum()
+         + (dc.embedding_lookup(w, [1, 1]) * dc.Tensor(q)).sum()).backward()
+        want = np.outer(p, x) + a.T @ q + p[:, None] @ q[:1]
+        want[1] += q.sum(axis=0)
+        assert_close_relative(w.grad, want)
+
+    def test_non_leaf_left_operand(self):
+        rng = np.random.default_rng(33)
+        a = param(rng, 3, 4)
+        x1, x2 = param(rng, 4), param(rng, 4)
+        p = dc.Tensor(rng.normal(size=3))
+        assert dc.grad_check(lambda: ((dc.matmul(dc.tanh(a), x1) + dc.matmul(dc.tanh(a), x2))
+                                      * p).sum(), [a, x1, x2]) < 1e-6
+
+    def test_failed_backward_leaks_no_rows(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        w, u = param(rng, 3, 4), param(rng, 4)
+        p = rng.normal(size=3)
+
+        def loss():
+            x = dc.tanh(u)
+            return x, (dc.matmul(w, x) * dc.Tensor(p)).sum()
+
+        x, failing = loss()
+
+        def boom(g):
+            raise RuntimeError("backprop failed")
+
+        monkeypatch.setattr(x, "_backprop", boom)
+        with pytest.raises(RuntimeError):
+            failing.backward()
+        assert not dc._PENDING
+        w.grad = u.grad = None
+        x, fine = loss()
+        fine.backward()
+        np.testing.assert_array_equal(w.grad, np.outer(p, x.data))
+
+
 class TestGradCheck:
     def test_sum_gradient_is_ones(self):
         x = dc.Tensor(np.arange(5.0), requires_grad=True)
@@ -292,6 +400,43 @@ class TestAdam:
             opt.step()
         assert (first.data[0], last.data[0], opt.t) == (1.0, 2.0, 0)
         np.testing.assert_array_equal(opt.m["first"], [0.0])
+
+
+    def test_in_place_update_is_the_textbook_formula(self):
+        rng = np.random.default_rng(40)
+        shapes = {"scalar": (), "vector": (3,), "matrix": (2, 4), "row": (1, 5)}
+        params = {n: param(rng, *shape) for n, shape in shapes.items()}
+        opt = dc.Adam(params, lr=0.01)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        want = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros(shape) for n, shape in shapes.items()}
+        v = {n: np.zeros(shape) for n, shape in shapes.items()}
+        for t in range(1, 6):
+            for n, p in params.items():
+                p.grad = None if (n, t) == ("matrix", 3) else rng.normal(size=shapes[n])
+                g = np.zeros(shapes[n]) if p.grad is None else p.grad
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * g * g
+                m_hat = m[n] / (1.0 - b1 ** t)
+                v_hat = v[n] / (1.0 - b2 ** t)
+                want[n] = want[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step()
+            for n, p in params.items():
+                assert np.array_equal(p.data, want[n])
+                assert np.array_equal(opt.m[n], m[n])
+                assert np.array_equal(opt.v[n], v[n])
+
+    def test_step_allocates_less_than_a_parameter(self):
+        p = dc.Tensor(np.zeros(1_000_000), requires_grad=True)
+        opt = dc.Adam({"p": p})
+        p.grad = np.random.default_rng(41).normal(size=p.data.shape)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes
 
 
 class TestClip:
