@@ -64,21 +64,21 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    source = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for line in source:
-            tokens = corpus.tokenize(line)
-            if not tokens:
-                continue
-            ann = annotator.annotate(tokens)
-            heads = ",".join(ann.heads)
-            sink.write(f"{' '.join(tokens)}\t{' '.join(ann.template)}\t{heads}\n")
-    finally:
-        if args.input:
-            source.close()
-        if args.out:
-            sink.close()
+    text = Path(args.input).read_text(encoding="utf-8") if args.input else sys.stdin.read()
+    rows = []
+    for line in text.split("\n"):
+        tokens = corpus.tokenize(line)
+        if not tokens:
+            continue
+        ann = annotator.annotate(tokens)
+        heads = ",".join(ann.heads)
+        rows.append(f"{' '.join(tokens)}\t{' '.join(ann.template)}\t{heads}\n")
+    # every line is annotated before --out is touched
+    if args.out:
+        with diffcore.atomic_write(args.out, encoding="utf-8") as fh:
+            fh.write("".join(rows))
+    else:
+        sys.stdout.write("".join(rows))
     return 0
 
 
@@ -149,7 +149,8 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     report = metrics.evaluate(args.predictions, args.references)
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        with diffcore.atomic_write(args.out, encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
     print(metrics.format_report(report))
     return 0
 
@@ -208,10 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TypedescError as exc:
-        print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TypedescError, OSError, UnicodeDecodeError) as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,7 @@ _VALID = {
     "d_h": _at_least(1), "d_word": _at_least(1), "d_prop": _at_least(1), "d_pos": _at_least(1),
     "value_vocab_size": _at_least(len(RESERVED_WORDS)),
     "target_vocab_size": _at_least(len(RESERVED_WORDS)),
-    "max_position": _at_least(1), "min_statements": _at_least(0),
+    "max_position": _at_least(1), "min_statements": _at_least(1),
     "max_template_len": _at_least(1), "max_description_len": _at_least(1),
 }
 

@@ -253,7 +253,7 @@ def split_dataset(entities: list[Entity], seed: int) -> DatasetSplit:
     )
 
 
-def corpus_copy_ratio(entities: list[Entity], stopwords=None) -> float:
+def corpus_copy_ratio(entities: list[Entity]) -> float:
     """Fraction of non-stopword description tokens copied from source values.
 
     Copying uses the same 4-character-prefix rule as the ModCopy metric, but
@@ -261,8 +261,6 @@ def corpus_copy_ratio(entities: list[Entity], stopwords=None) -> float:
     """
     from .metrics import is_copied  # local import: metrics depends on this module
 
-    if stopwords is None:
-        stopwords = lexicon.STOPWORDS
     copied = 0
     total = 0
     for ent in entities:
@@ -270,7 +268,7 @@ def corpus_copy_ratio(entities: list[Entity], stopwords=None) -> float:
         for _pid, _plabel, value in ent.statements:
             source_words.extend(tokenize(value))
         for tok in ent.description_tokens:
-            if tok in stopwords or lexicon.is_punctuation(tok):
+            if tok in lexicon.STOPWORDS or lexicon.is_punctuation(tok):
                 continue
             total += 1
             if is_copied(tok, source_words):

@@ -12,6 +12,7 @@ from .corpus import TYPE_PROPERTY_IDS, Entity, tokenize
 from .errors import TypedescError
 
 ROUGE_BETA = 1.2
+COPY_PREFIX_LEN = 4  # characters a copied word shares with a source word
 BLEU_EPSILON = 1e-9
 
 
@@ -88,14 +89,14 @@ def rouge_l(records: list[EvalRecord]) -> float:
     return 100.0 * sum(scores) / len(scores)
 
 
-def is_copied(word: str, source_values: list[str], prefix_len: int = 4) -> bool:
+def is_copied(word: str, source_values: list[str]) -> bool:
     """True when the word shares a prefix with any non-stopword source value word.
 
     Words shorter than the prefix length compare their full length instead.
     """
     if not word:
         raise TypedescError("is_copied: word must be non-empty")
-    k = min(prefix_len, len(word))
+    k = min(COPY_PREFIX_LEN, len(word))
     head = word[:k]
     return any(head == src[:k] for src in source_values if src not in lexicon.STOPWORDS)
 

@@ -94,16 +94,16 @@ def _step_logits(t_prev_id: int, s_prev: Tensor, enc: EncoderOutput, params: dic
     n_template = params["s1.tmpl_emb"].data.shape[0]
     if not 0 <= t_prev_id < n_template:
         raise TypedescError(f"unknown template token id {t_prev_id}")
-    context, alpha = attend_general(enc.states, s_prev, params["s1.attn.w"])
+    context, _ = attend_general(enc.states, s_prev, params["s1.attn.w"])
     x = concat([embedding_lookup(params["s1.tmpl_emb"], t_prev_id), context])
     s_next = gru_cell(x, s_prev, gru_weights(params, "s1.gru"))
     logits = matmul(params["s1.out.w"], s_next) + params["s1.out.b"]
-    return logits, s_next, alpha
+    return logits, s_next
 
 
 def decode_template_step(t_prev_id: int, s_prev: Tensor, enc: EncoderOutput, params: dict):
     """One decoder step: distribution over template tokens and the next state."""
-    logits, s_next, _alpha = _step_logits(t_prev_id, s_prev, enc, params)
+    logits, s_next = _step_logits(t_prev_id, s_prev, enc, params)
     return softmax(logits), s_next
 
 
@@ -116,7 +116,7 @@ def template_nll(enc: EncoderOutput, template_tokens: list[str], vocabs: VocabSe
     targets = [vocabs.template_id(t) for t in template_tokens]
     targets.append(vocabs.template_vocab[EOS])
     for target in targets:
-        logits, s, _ = _step_logits(prev, s, enc, params)
+        logits, s = _step_logits(prev, s, enc, params)
         losses.append(cross_entropy(logits, target))
         prev = target
     return diffcore.add_n(losses)

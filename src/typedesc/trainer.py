@@ -51,11 +51,6 @@ class TwoStageModel:
         params.update(stage2.init_stage2_params(dims, vocabs, rng))
         return cls(dims, vocabs, params)
 
-    def load_arrays(self, arrays: dict):
-        for name, p in self.params.items():
-            p.data = arrays[name].copy()
-            p.grad = None
-
     def snapshot(self) -> dict:
         return {name: p.data.copy() for name, p in self.params.items()}
 
@@ -125,9 +120,11 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
           out_dir=None, on_epoch=None) -> TrainResult:
     """Adam over shuffled epochs with gradient clipping and best-valid checkpointing.
 
-    Runs are bit-for-bit reproducible under a fixed seed. On a non-finite
-    loss or gradient norm the best checkpoint so far and the log are written
-    before TrainingDiverged is raised. `on_epoch`, when given, is called as
+    The result holds the parameters of the best validation epoch, or, when no
+    validation epoch has improved, those after the last completed step. Runs
+    are bit-for-bit reproducible under a fixed seed. On a non-finite loss or
+    gradient norm those same parameters and the log are written before
+    TrainingDiverged is raised. `on_epoch`, when given, is called as
     on_epoch(epoch, model) after each epoch and may return True to stop early.
     """
     if not data.train:
@@ -144,12 +141,15 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
     step_losses: list[float] = []
     epoch_rows: list[dict] = []
     best_valid = None
-    best_arrays = model.snapshot()
+    best_arrays = None  # a private copy of the best validation epoch's parameters
     patience_left = config.early_stop_patience
     epochs_run = 0
 
     def finish(diverged_msg=None):
-        model.load_arrays(best_arrays)
+        optimizer.zero_grads()
+        if best_arrays is not None:
+            for name, p in model.params.items():
+                p.data = best_arrays[name]
         if out_dir is not None:
             save_checkpoint(out_dir / "checkpoint.bin", model.params)
             with atomic_write(out_dir / "train_log.csv", newline="", encoding="utf-8") as fh:
@@ -192,8 +192,6 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
                 patience_left = config.early_stop_patience
             else:
                 patience_left -= 1
-        else:
-            best_arrays = model.snapshot() if not data.valid else best_arrays
 
         epoch_rows.append({
             "epoch": epoch,

@@ -23,6 +23,11 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith(cli.ERROR_PREFIX) and len(err.splitlines()) == 1
+
+
 class TestPrepare:
     def test_splits_and_files(self, raw_corpus, tmp_path):
         out = tmp_path / "prepared"
@@ -79,6 +84,35 @@ class TestAnnotateCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "street in paris , france\t$hed$ in $mod$ , $mod$\tstreet"
         assert lines[1] == "human\t$hed$\thuman"
+
+    def test_failure_keeps_earlier_out(self, tmp_path, capsys):
+        (tmp_path / "good.txt").write_text("human\n", encoding="utf-8")
+        (tmp_path / "bad.txt").write_bytes(b"street in paris\n\xff\n")
+        out = tmp_path / "out.tsv"
+        assert run("annotate", "--input", str(tmp_path / "good.txt"), "--out", str(out)) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert run("annotate", "--input", str(tmp_path / "bad.txt"), "--out", str(out)) == 1
+        assert_one_error_line(capsys)
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "good.txt", "out.tsv"]
+
+
+def test_undecodable_input_is_one_error_line(pipeline, tmp_path, capsys):
+    data_dir, run_dir = pipeline
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes((data_dir / "test.jsonl").read_bytes() + b"\xff\n")
+    commands = [
+        ("annotate", "--input", str(bad)),
+        ("evaluate", "--predictions", str(bad), "--references", str(data_dir / "test.jsonl")),
+        ("evaluate", "--predictions", str(data_dir / "test.jsonl"), "--references", str(bad)),
+        ("generate", "--checkpoint", str(run_dir / "checkpoint.bin"), "--input", str(bad),
+         "--out", str(tmp_path / "preds.jsonl")),
+    ]
+    for argv in commands:
+        assert run(*argv) == 1
+        assert_one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +351,23 @@ class TestEvaluateCommand:
                    "--out", str(report_path)) == 0
         report = json.loads(report_path.read_text())
         assert set(report) == {"bleu1", "bleu2", "rougeL", "mod_copy", "hed_acc"}
+
+    def test_failure_keeps_earlier_out(self, pipeline, tmp_path, capsys):
+        data_dir, _ = pipeline
+        refs = data_dir / "test.jsonl"
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"entity_id": obj["entity_id"], "hypothesis": obj["description"]}) + "\n"
+            for obj in map(json.loads, refs.read_text().splitlines())), encoding="utf-8")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(preds.read_bytes() + b"\xff\n")
+        out = tmp_path / "report.json"
+        evaluate = ["evaluate", "--references", str(refs), "--out", str(out), "--predictions"]
+        assert run(*evaluate, str(preds)) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert run(*evaluate, str(bad)) == 1
+        assert_one_error_line(capsys)
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "preds.jsonl",
+                                                              "report.json"]

@@ -35,7 +35,8 @@ def test_round_trip_every_field(tmp_path):
 
 @pytest.mark.parametrize("bad", [{"d_h": 0}, {"validate_every": 0}, {"lr": float("inf")},
                                  {"beta1": -0.1}, {"grad_clip_norm": 0.0},
-                                 {"target_vocab_size": 3}, {"max_position": 0}])
+                                 {"target_vocab_size": 3}, {"max_position": 0},
+                                 {"min_statements": 0}])
 def test_out_of_range_field_rejected(bad):
     with pytest.raises(TypedescError, match=f"{next(iter(bad))} must be"):
         RunConfig(**bad)

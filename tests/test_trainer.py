@@ -213,3 +213,57 @@ class TestTrain:
         result = train(data, cfg, dims, vocabs,
                        on_epoch=lambda epoch, model: epoch >= 3)
         assert result.epochs_run == 3
+
+    def test_unvalidated_run_keeps_its_trained_parameters(self, corpus, tmp_path):
+        # no epoch reaches validate_every, so no validation epoch ever improves
+        ents, vocabs, dims = corpus
+        data = self.split(ents[:6], n_valid=2)
+        cfg = TrainConfig(max_epochs=3, batch_size=2, seed=3, lr=0.01, validate_every=10)
+        result = train(data, cfg, dims, vocabs, out_dir=tmp_path)
+        assert result.best_valid_loss is None
+        fresh = TwoStageModel.build(dims, vocabs, seed=3)
+        assert any(not np.array_equal(p.data, fresh.params[name].data)
+                   for name, p in result.model.params.items())
+        loaded = dc.load_checkpoint(tmp_path / "checkpoint.bin")
+        for name, p in result.model.params.items():
+            np.testing.assert_array_equal(loaded[name].data, p.data)
+
+    def test_checkpoint_is_the_best_validation_epoch(self, corpus, tmp_path):
+        ents, vocabs, dims = corpus
+        data = self.split(ents[:6], n_valid=2)
+        cfg = TrainConfig(max_epochs=4, batch_size=2, seed=1, lr=0.1)
+        per_epoch = []
+        result = train(data, cfg, dims, vocabs, out_dir=tmp_path,
+                       on_epoch=lambda epoch, model: per_epoch.append(model.snapshot()))
+        valid = [float(row["valid_loss"]) for row in result.epoch_rows]
+        best = int(np.argmin(valid))
+        assert best < len(valid) - 1  # the last epoch is not the best one
+        loaded = dc.load_checkpoint(tmp_path / "checkpoint.bin")
+        for name, p in result.model.params.items():
+            np.testing.assert_array_equal(p.data, per_epoch[best][name])
+            np.testing.assert_array_equal(loaded[name].data, per_epoch[best][name])
+        assert any(not np.array_equal(p.data, per_epoch[-1][name])
+                   for name, p in result.model.params.items())
+
+    def test_gradient_divergence_without_validation_keeps_the_last_step(
+            self, corpus, tmp_path, monkeypatch):
+        ents, vocabs, dims = corpus
+        data = self.split(ents[:4])
+        cfg = TrainConfig(max_epochs=3, batch_size=2, seed=2)
+        seen = []
+
+        def poisoned_clip(params, max_norm):
+            # the parameters clip sees are those after the previous step
+            seen.append({name: p.data.copy() for name, p in params.items()})
+            if len(seen) == 4:  # the second step of epoch 2
+                params["s2.gen.b"].grad[0] = np.nan
+            return dc.clip_gradients(params, max_norm)
+
+        monkeypatch.setattr(trainer, "clip_gradients", poisoned_clip)
+        with pytest.raises(TrainingDiverged, match="gradient at step 4"):
+            train(data, cfg, dims, vocabs, out_dir=tmp_path)
+        loaded = dc.load_checkpoint(tmp_path / "checkpoint.bin")
+        assert set(loaded) == set(seen[-1])
+        for name, arr in seen[-1].items():
+            np.testing.assert_array_equal(loaded[name].data, arr)
+        assert any(not np.array_equal(seen[-1][name], seen[-2][name]) for name in loaded)
