@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import sys
@@ -64,9 +65,13 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8") if args.input else sys.stdin.read()
+    data = Path(args.input).read_bytes() if args.input else sys.stdin.buffer.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise corpus.not_utf8(args.input or "<stdin>", data) from None
     rows = []
-    for line in text.split("\n"):
+    for line in io.StringIO(text, newline=None):  # universal newlines, as in text mode
         tokens = corpus.tokenize(line)
         if not tokens:
             continue
@@ -209,7 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TypedescError, OSError, UnicodeDecodeError) as exc:
+    except (TypedescError, OSError) as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 1
 

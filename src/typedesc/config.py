@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import RESERVED_WORDS
+from .corpus import RESERVED_WORDS, not_utf8
 from .errors import TypedescError
 from .stage1 import MAX_TEMPLATE_LEN, ModelDims
 from .stage2 import MAX_DESCRIPTION_LEN
@@ -65,11 +65,15 @@ class RunConfig(ModelDims, TrainConfig):
         return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    """Parse key=value lines over a base config; unknown keys and bad values are rejected."""
+def load_config(path) -> RunConfig:
+    """Parse key=value lines over the defaults; unknown keys and bad values are rejected."""
     casts = {f.name: (int if f.default.__class__ is int else float) for f in fields(RunConfig)}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -84,7 +88,7 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
             raise TypedescError(
                 f"{path}: line {lineno}: bad value {value!r} for key '{key}'") from None
     try:
-        return replace(base if base is not None else RunConfig(), **values)
+        return RunConfig(**values)
     except TypedescError as exc:
         raise TypedescError(f"{path}: {exc}") from None
 

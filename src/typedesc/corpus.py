@@ -117,42 +117,65 @@ class DatasetSplit:
     test: list[Entity]
 
 
+def not_utf8(name, data: bytes | None = None) -> CorpusError:
+    """The one error for input that is not UTF-8; `data` defaults to the bytes of file `name`."""
+    data = Path(name).read_bytes() if data is None else data
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return CorpusError(f"{name}: line {line}: not UTF-8 (byte 0x{data[exc.start]:02x})")
+    return CorpusError(f"{name}: not UTF-8")  # the file changed since it failed to decode
+
+
+def read_jsonl(path, keys):
+    """(line number, object) for each non-blank line of a JSONL file; each must hold `keys`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(
+                        f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(obj, dict):
+                    raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
+                for key in keys:
+                    if key not in obj:
+                        raise CorpusError(f"{path}: line {lineno}: missing key '{key}'")
+                yield lineno, obj
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
 def load_jsonl(path) -> list[Entity]:
     """Load entities from a JSONL file, lowercasing all text.
 
     Descriptions are tokenized here; statement values are stored verbatim.
     """
     entities = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            for key in ("entity_id", "label", "description", "statements"):
-                if key not in obj:
-                    raise CorpusError(f"{path}: line {lineno}: missing key '{key}'")
-            raw_statements = obj["statements"]
-            if not isinstance(raw_statements, list) or not raw_statements:
-                raise CorpusError(f"{path}: line {lineno}: entity has no statements")
-            statements = []
-            for st in raw_statements:
-                if not isinstance(st, (list, tuple)) or len(st) != 3:
-                    raise CorpusError(
-                        f"{path}: line {lineno}: statement must be "
-                        f"[property_id, property_label, value], got {st!r}")
-                pid, plabel, value = (str(part).lower() for part in st)
-                statements.append((" ".join(pid.split()), " ".join(plabel.split()),
-                                   " ".join(value.split())))
-            entities.append(Entity(
-                entity_id=str(obj["entity_id"]),
-                label=" ".join(str(obj["label"]).lower().split()),
-                description=" ".join(tokenize(str(obj["description"]))),
-                statements=statements,
-                template=str(obj["template"]) if obj.get("template") else None,
-            ))
+    for lineno, obj in read_jsonl(path, ("entity_id", "label", "description", "statements")):
+        raw_statements = obj["statements"]
+        if not isinstance(raw_statements, list) or not raw_statements:
+            raise CorpusError(f"{path}: line {lineno}: entity has no statements")
+        statements = []
+        for st in raw_statements:
+            if not isinstance(st, (list, tuple)) or len(st) != 3:
+                raise CorpusError(
+                    f"{path}: line {lineno}: statement must be "
+                    f"[property_id, property_label, value], got {st!r}")
+            pid, plabel, value = (str(part).lower() for part in st)
+            statements.append((" ".join(pid.split()), " ".join(plabel.split()),
+                               " ".join(value.split())))
+        entities.append(Entity(
+            entity_id=str(obj["entity_id"]),
+            label=" ".join(str(obj["label"]).lower().split()),
+            description=" ".join(tokenize(str(obj["description"]))),
+            statements=statements,
+            template=str(obj["template"]) if obj.get("template") else None,
+        ))
     return entities
 
 
@@ -285,5 +308,8 @@ def write_vocab_file(path, vocab: dict[str, int]):
 
 
 def read_vocab_file(path) -> dict[str, int]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return {token: i for i, token in enumerate(lines)}

@@ -79,33 +79,38 @@ class Tensor:
         finally:
             _PENDING.clear()
 
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
+    def sum(self):
+        return reduce_sum(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else _scalar_add(self, other)
+        return add(self, _tensor(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else _scalar_add(self, -other)
+        return sub(self, _tensor(other))
 
     def __rsub__(self, other):
-        return _scalar_sub_from(other, self)
+        return sub(_tensor(other), self)
 
     def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else _scalar_mul(self, other)
+        return mul(self, _tensor(other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _scalar_mul(self, -1.0)
+        return mul(self, Tensor(-1.0))
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+
+def _tensor(x) -> Tensor:
+    """x itself if a Tensor, else a Python number as a 0-d constant."""
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -214,42 +219,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backprop)
 
 
-def _scalar_add(a: Tensor, s) -> Tensor:
-    s = float(s)
-    return _make(a.data + s, (a,), lambda g: _accum(a, g))
-
-
-def _scalar_sub_from(s, a: Tensor) -> Tensor:
-    s = float(s)
-    return _make(s - a.data, (a,), lambda g: _accum(a, -g))
-
-
-def _scalar_mul(a: Tensor, s) -> Tensor:
-    s = float(s)
-    return _make(a.data * s, (a,), lambda g: _accum(a, g * s))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for (2d,2d) and (2d,1d) operands."""
+    """Matrix product of a matrix a with a matrix or vector b."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
+        raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
-        def backprop(g):
-            _accum(a, g @ bd.T)
-            _accum(b, ad.T @ g)
+    def backprop(g):
+        g2, b2 = (g, bd) if bd.ndim == 2 else (g[:, None], bd[:, None])  # 1-d b: one column
+        _accum_outer(a, g2.T, b2.T)
+        _accum(b, ad.T @ g)
 
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-        def backprop(g):
-            _accum_outer(a, g[None], bd[None])
-            _accum(b, ad.T @ g)
-
-    else:
-        raise ShapeMismatch(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
     return _make(ad @ bd, (a, b), backprop)
 
 
@@ -293,25 +273,17 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
 
 
-def reduce_sum(a: Tensor, axis=None) -> Tensor:
-    def backprop(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(a.data.sum(axis=axis), (a,), backprop)
+def reduce_sum(a: Tensor) -> Tensor:
+    return _make(a.data.sum(), (a,),
+                 lambda g: _accum(a, np.broadcast_to(g, a.data.shape).copy()))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backprop(g):
-        _accum(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
-
-    return _make(y, (a,), backprop)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _make(y, (a,), lambda g: _accum(a, (g - (g * y).sum(axis=-1, keepdims=True)) * y))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -507,9 +479,12 @@ def gru_weights(params: dict, prefix: str) -> GRUWeights:
                         for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")))
 
 
-def uniform_param(rng, shape, scale: float = 0.08) -> Tensor:
-    """Learnable tensor initialized uniform(-scale, scale)."""
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+INIT_SCALE = 0.08
+
+
+def uniform_param(rng, shape) -> Tensor:
+    """Learnable tensor initialized uniform(-INIT_SCALE, INIT_SCALE)."""
+    return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import collections
-import json
 import math
 from dataclasses import dataclass
 
 from . import annotator, lexicon
-from .corpus import TYPE_PROPERTY_IDS, Entity, tokenize
+from .corpus import TYPE_PROPERTY_IDS, Entity, read_jsonl, tokenize
 from .errors import TypedescError
 
 ROUGE_BETA = 1.2
@@ -191,22 +190,11 @@ def evaluate(predictions_path, references_path) -> dict:
     from .corpus import load_jsonl
 
     predictions = {}
-    with open(predictions_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TypedescError(
-                    f"{predictions_path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            for key in ("entity_id", "hypothesis"):
-                if key not in obj:
-                    raise TypedescError(f"{predictions_path}: line {lineno}: missing key '{key}'")
-            if obj["entity_id"] in predictions:
-                raise TypedescError(
-                    f"{predictions_path}: line {lineno}: duplicate entity_id '{obj['entity_id']}'")
-            predictions[str(obj["entity_id"])] = str(obj["hypothesis"])
+    for lineno, obj in read_jsonl(predictions_path, ("entity_id", "hypothesis")):
+        if obj["entity_id"] in predictions:
+            raise TypedescError(
+                f"{predictions_path}: line {lineno}: duplicate entity_id '{obj['entity_id']}'")
+        predictions[str(obj["entity_id"])] = str(obj["hypothesis"])
     if not predictions:
         raise TypedescError(f"{predictions_path}: no predictions found")
     entities = load_jsonl(references_path)

@@ -176,8 +176,6 @@ def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
     gen_part = p_z * p_gen
     if n_oov:
         gen_part = concat([gen_part, zeros(n_oov)])
-    if extvocab.position_ids.size == 0:
-        return gen_part  # no source words: the copy path carries zero mass
     copy_scores = matmul(tanh(matmul(enc_states, params["s2.copy.w"]) + params["s2.copy.b"]),
                          s_j)
     copy_probs = (1.0 - p_z) * softmax(copy_scores)

@@ -122,10 +122,11 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
 
     The result holds the parameters of the best validation epoch, or, when no
     validation epoch has improved, those after the last completed step. Runs
-    are bit-for-bit reproducible under a fixed seed. On a non-finite loss or
-    gradient norm those same parameters and the log are written before
-    TrainingDiverged is raised. `on_epoch`, when given, is called as
-    on_epoch(epoch, model) after each epoch and may return True to stop early.
+    are bit-for-bit reproducible under a fixed seed. On a non-finite training
+    loss, gradient norm or validation loss those same parameters and the log
+    are written before TrainingDiverged is raised. `on_epoch`, when given, is
+    called as on_epoch(epoch, model) after each epoch and may return True to
+    stop early.
     """
     if not data.train:
         raise TypedescError("training split is empty")
@@ -145,7 +146,7 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
     patience_left = config.early_stop_patience
     epochs_run = 0
 
-    def finish(diverged_msg=None):
+    def finish():
         optimizer.zero_grads()
         if best_arrays is not None:
             for name, p in model.params.items():
@@ -157,52 +158,51 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
                                                         "valid_loss", "seconds"])
                 writer.writeheader()
                 writer.writerows(epoch_rows)
-        if diverged_msg is not None:
-            raise TrainingDiverged(diverged_msg)
 
-    for epoch in range(1, config.max_epochs + 1):
-        started = time.perf_counter()
-        indices = list(range(len(data.train)))
-        order_rng.shuffle(indices)
-        epoch_losses = []
-        for lo in range(0, len(indices), config.batch_size):
-            batch = [data.train[i] for i in indices[lo:lo + config.batch_size]]
-            try:
+    try:
+        for epoch in range(1, config.max_epochs + 1):
+            started = time.perf_counter()
+            indices = list(range(len(data.train)))
+            order_rng.shuffle(indices)
+            epoch_losses = []
+            for lo in range(0, len(indices), config.batch_size):
+                batch = [data.train[i] for i in indices[lo:lo + config.batch_size]]
                 losses = [model.joint_loss(e, templates[e.entity_id]) for e in batch]
-            except TrainingDiverged as exc:
-                finish(f"{exc}; best checkpoint retained")
-            batch_loss = add_n(losses) * (1.0 / len(losses))
-            optimizer.zero_grads()
-            batch_loss.backward()
-            if not math.isfinite(clip_gradients(model.params, config.grad_clip_norm)):
-                finish(f"non-finite gradient at step {len(step_losses) + 1}; "
-                       "best checkpoint retained")
-            optimizer.step()
-            value = batch_loss.item()
-            step_losses.append(value)
-            epoch_losses.append(value)
-        epochs_run = epoch
+                batch_loss = add_n(losses) * (1.0 / len(losses))
+                optimizer.zero_grads()
+                batch_loss.backward()
+                if not math.isfinite(clip_gradients(model.params, config.grad_clip_norm)):
+                    raise TrainingDiverged(
+                        f"non-finite gradient at step {len(step_losses) + 1}")
+                optimizer.step()
+                value = batch_loss.item()
+                step_losses.append(value)
+                epoch_losses.append(value)
+            epochs_run = epoch
 
-        valid_loss = None
-        if data.valid and epoch % config.validate_every == 0:
-            valid_loss = _mean_valid_loss(model, data.valid)
-            if best_valid is None or valid_loss < best_valid:
-                best_valid = valid_loss
-                best_arrays = model.snapshot()
-                patience_left = config.early_stop_patience
-            else:
-                patience_left -= 1
+            valid_loss = None
+            if data.valid and epoch % config.validate_every == 0:
+                valid_loss = _mean_valid_loss(model, data.valid)
+                if best_valid is None or valid_loss < best_valid:
+                    best_valid = valid_loss
+                    best_arrays = model.snapshot()
+                    patience_left = config.early_stop_patience
+                else:
+                    patience_left -= 1
 
-        epoch_rows.append({
-            "epoch": epoch,
-            "train_loss": f"{np.mean(epoch_losses):.6f}",
-            "valid_loss": "" if valid_loss is None else f"{valid_loss:.6f}",
-            "seconds": f"{time.perf_counter() - started:.3f}",
-        })
-        if data.valid and patience_left <= 0:
-            break
-        if on_epoch is not None and on_epoch(epoch, model):
-            break
+            epoch_rows.append({
+                "epoch": epoch,
+                "train_loss": f"{np.mean(epoch_losses):.6f}",
+                "valid_loss": "" if valid_loss is None else f"{valid_loss:.6f}",
+                "seconds": f"{time.perf_counter() - started:.3f}",
+            })
+            if data.valid and patience_left <= 0:
+                break
+            if on_epoch is not None and on_epoch(epoch, model):
+                break
+    except TrainingDiverged as exc:
+        finish()
+        raise TrainingDiverged(f"{exc}; best checkpoint retained") from None
 
     finish()
     return TrainResult(model=model, step_losses=step_losses, epoch_rows=epoch_rows,

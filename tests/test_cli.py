@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import shutil
 import stat
 import threading
 
@@ -113,6 +115,43 @@ def test_undecodable_input_is_one_error_line(pipeline, tmp_path, capsys):
         assert run(*argv) == 1
         assert_one_error_line(capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+def test_undecodable_input_names_the_file_and_line(pipeline, tmp_path, capsys, monkeypatch):
+    data_dir, run_dir = pipeline
+    good = (data_dir / "test.jsonl").read_bytes()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(good + b"\xff\n")
+    bad_run = tmp_path / "run"
+    shutil.copytree(run_dir, bad_run)
+    vocab = bad_run / "target_vocab.txt"
+    vocab.write_bytes(b"\xff\n" + vocab.read_bytes())
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_bytes(b"max_epochs = 1\n# caf\xe9\n")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"entity_id": json.loads(line)["entity_id"],
+                                         "hypothesis": "human"}) + "\n"
+                             for line in good.decode().splitlines()), encoding="utf-8")
+    last = good.count(b"\n") + 1
+    cases = [
+        (("annotate", "--input", str(bad)), f"{bad}: line {last}:"),
+        (("evaluate", "--predictions", str(bad), "--references", str(data_dir / "test.jsonl")),
+         f"{bad}: line {last}:"),
+        (("evaluate", "--predictions", str(preds), "--references", str(bad)),
+         f"{bad}: line {last}:"),
+        (("generate", "--checkpoint", str(bad_run / "checkpoint.bin"), "--input",
+          str(data_dir / "test.jsonl"), "--out", str(tmp_path / "out.jsonl")),
+         f"{vocab}: line 1:"),
+        (("train", "--data-dir", str(data_dir), "--config", str(bad_cfg), "--out-dir",
+          str(tmp_path / "out")), f"{bad_cfg}: line 2:"),
+    ]
+    for argv, where in cases:
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"{cli.ERROR_PREFIX} {where}")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"human\nstreet in \xff paris\n")))
+    assert run("annotate") == 1
+    assert capsys.readouterr().err.startswith(f"{cli.ERROR_PREFIX} <stdin>: line 2:")
 
 
 @pytest.fixture(scope="module")

@@ -62,10 +62,11 @@ class TestLoadJsonl:
 
     def test_malformed_line_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        write_lines(path, ['{"entity_id": "Q1", "label": "x", "description": "d", '
-                           '"statements": [["p1", "p", "v"]]}', "{broken"])
-        with pytest.raises(CorpusError, match="line 2"):
-            load_jsonl(path)
+        for bad in ("{broken", "3", '["entity_id", "label", "description", "statements"]'):
+            write_lines(path, ['{"entity_id": "Q1", "label": "x", "description": "d", '
+                               '"statements": [["p1", "p", "v"]]}', bad])
+            with pytest.raises(CorpusError, match="line 2"):
+                load_jsonl(path)
 
     def test_missing_key_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -252,6 +252,16 @@ class TestDeferredWeightGradients:
         p = dc.Tensor(rng.normal(size=3))
         assert dc.grad_check(lambda: ((dc.matmul(dc.tanh(a), x1) + dc.matmul(dc.tanh(a), x2))
                                       * p).sum(), [a, x1, x2]) < 1e-6
+        # a leaf or non-leaf a times a vector or a matrix: g b^T, exactly
+        for b_shape in ((4,), (4, 5)):
+            b = param(rng, *b_shape)
+            g = rng.normal(size=(3,) + b_shape[1:])
+            for left in (a, dc.tanh(a)):
+                left.grad = b.grad = None
+                (dc.matmul(left, b) * dc.Tensor(g)).sum().backward()
+                want = np.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.T
+                assert np.array_equal(left.grad, want)
+                assert np.array_equal(b.grad, left.data.T @ g)
 
     def test_failed_backward_leaks_no_rows(self, monkeypatch):
         rng = np.random.default_rng(34)
@@ -293,7 +303,7 @@ class TestGradCheck:
         err = dc.grad_check(lambda: c * 1.0, [x])
         assert err == 0.0
 
-    def test_each_op(self):
+    def test_each_op(self, monkeypatch):
         rng = np.random.default_rng(7)
         a, b = param(rng, 3, 4), param(rng, 4, 2)
         m = dc.Tensor(rng.normal(size=(3, 2)))
@@ -327,6 +337,25 @@ class TestGradCheck:
         idx = np.array([0, 1, 1, 2, 0])
         assert dc.grad_check(
             lambda: (dc.scatter_add(s, idx, 4) * probe4).sum(), [s]) < 1e-6
+
+        # a Python number operand is a 0-d constant: one node, numpy's values exactly
+        made = []
+        real = dc._make
+        monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+        g = rng.normal(size=6)
+        for op, value, grad in ((lambda: t + 0.3, t.data + 0.3, g),
+                                (lambda: 0.3 + t, 0.3 + t.data, g),
+                                (lambda: t - 0.3, t.data - 0.3, g),
+                                (lambda: 0.3 - t, 0.3 - t.data, -g),
+                                (lambda: t * 0.3, t.data * 0.3, g * 0.3),
+                                (lambda: 0.3 * t, 0.3 * t.data, 0.3 * g),
+                                (lambda: -t, -t.data, -g)):
+            made.clear()
+            out = op()
+            assert len(made) == 1 and np.array_equal(out.data, value)
+            t.grad = None
+            (out * dc.Tensor(g)).sum().backward()
+            assert np.array_equal(t.grad, grad)
 
     def test_non_finite_loss_rejected(self):
         x = dc.Tensor(np.array([1.0]), requires_grad=True)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import synthdata
 from typedesc import diffcore as dc
 from typedesc import stage1, stage2, trainer
 from typedesc.corpus import DatasetSplit
@@ -267,3 +268,29 @@ class TestTrain:
         for name, arr in seen[-1].items():
             np.testing.assert_array_equal(loaded[name].data, arr)
         assert any(not np.array_equal(seen[-1][name], seen[-2][name]) for name in loaded)
+
+    def test_validation_divergence_keeps_checkpoint_and_log(self, tmp_path, monkeypatch):
+        # one step at lr=1e300 leaves finite weights of about 1e300, on which the
+        # validation loss is not finite
+        ents = synthdata.make_corpus(n=16, seed=3)
+        data = DatasetSplit(train=ents[:10], valid=ents[10:12], test=[])
+        dims = stage1.ModelDims(d_h=8, d_word=8, d_prop=4, d_pos=4)
+        cfg = TrainConfig(lr=1e300, max_epochs=3, batch_size=10)
+        live = []
+        real_validate = trainer._mean_valid_loss
+
+        def validate(model, entities):
+            live.append(model.snapshot())
+            return real_validate(model, entities)
+
+        monkeypatch.setattr(trainer, "_mean_valid_loss", validate)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged, match="loss on entity .*; best checkpoint retained"):
+            train(data, cfg, dims, synthdata.make_vocabs(ents), out_dir=tmp_path)
+        assert len(live) == 1
+        log = (tmp_path / "train_log.csv").read_text().splitlines()
+        assert log == ["epoch,train_loss,valid_loss,seconds"]
+        loaded = dc.load_checkpoint(tmp_path / "checkpoint.bin")
+        assert set(loaded) == set(live[0])
+        for name, arr in live[0].items():
+            np.testing.assert_array_equal(loaded[name].data, arr)
