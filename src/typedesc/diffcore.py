@@ -491,6 +491,11 @@ def uniform_param(rng, shape) -> Tensor:
 # optimization
 # ---------------------------------------------------------------------------
 
+# Elements per slice of an Adam update (256 KB of float64): a slice of p, g, m,
+# v and the two scratch buffers stays in cache across the update's operations.
+_ADAM_CHUNK = 32768
+
+
 class Adam:
     """Adam with bias correction over a named parameter dict, updated in place."""
 
@@ -502,39 +507,52 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
-        largest = max((p.data.size for p in params.values()), default=0)
-        self._scratch = (np.empty(largest), np.empty(largest))
+        # C order even for a transposed parameter, so step's flat views write through
+        self.m = {name: np.zeros_like(p.data, order="C") for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data, order="C") for name, p in params.items()}
+        size = min(_ADAM_CHUNK, max((p.data.size for p in params.values()), default=0))
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self):
         """One update; a non-finite gradient raises before any parameter moves.
 
         Each parameter takes the textbook expressions in their usual order,
         m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t),
-        p -= lr * m_hat / (sqrt(v_hat) + eps), computed into two scratch buffers.
+        p -= lr * m_hat / (sqrt(v_hat) + eps). They run slice by slice over
+        the flattened parameter, into two slice-sized scratch buffers, so each
+        parameter passes through memory once; every operation is elementwise,
+        so slicing leaves the result bitwise unchanged.
         """
         for name, p in self.params.items():
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise TypedescError(f"non-finite gradient for parameter '{name}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else 0.0
-            m = self.m[name]
-            v = self.v[name]
-            a, b = (s[:p.data.size].reshape(p.data.shape) for s in self._scratch)
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=a)
-            v *= b2
-            np.multiply(1.0 - b2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(m, 1.0 - b1 ** self.t, out=a)
-            a *= self.lr
-            np.divide(v, 1.0 - b2 ** self.t, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            p.data -= np.divide(a, b, out=a)
+            data = p.data.reshape(-1)
+            g = p.grad.reshape(-1) if p.grad is not None else None
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
+            for lo in range(0, data.size, _ADAM_CHUNK):
+                hi = lo + _ADAM_CHUNK
+                ps, ms, vs = data[lo:hi], m[lo:hi], v[lo:hi]
+                gs = g[lo:hi] if g is not None else 0.0
+                a, b = (s[:ps.size] for s in self._scratch)
+                ms *= b1
+                ms += np.multiply(1.0 - b1, gs, out=a)
+                vs *= b2
+                np.multiply(1.0 - b2, gs, out=a)
+                vs += np.multiply(a, gs, out=a)
+                np.divide(ms, c1, out=a)
+                a *= self.lr
+                np.divide(vs, c2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                ps -= np.divide(a, b, out=a)
+            if not np.shares_memory(data, p.data):
+                # reshape copied a parameter that is not C-contiguous
+                p.data[...] = data.reshape(p.data.shape)
 
     def zero_grads(self):
         for p in self.params.values():
@@ -545,7 +563,7 @@ def global_grad_norm(params: dict) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            total += float(np.vdot(p.grad, p.grad))
     return float(np.sqrt(total))
 
 

@@ -191,10 +191,11 @@ def evaluate(predictions_path, references_path) -> dict:
 
     predictions = {}
     for lineno, obj in read_jsonl(predictions_path, ("entity_id", "hypothesis")):
-        if obj["entity_id"] in predictions:
+        entity_id = str(obj["entity_id"])
+        if entity_id in predictions:
             raise TypedescError(
-                f"{predictions_path}: line {lineno}: duplicate entity_id '{obj['entity_id']}'")
-        predictions[str(obj["entity_id"])] = str(obj["hypothesis"])
+                f"{predictions_path}: line {lineno}: duplicate entity_id '{entity_id}'")
+        predictions[entity_id] = str(obj["hypothesis"])
     if not predictions:
         raise TypedescError(f"{predictions_path}: no predictions found")
     entities = load_jsonl(references_path)

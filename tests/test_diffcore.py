@@ -433,16 +433,28 @@ class TestAdam:
 
     def test_in_place_update_is_the_textbook_formula(self):
         rng = np.random.default_rng(40)
-        shapes = {"scalar": (), "vector": (3,), "matrix": (2, 4), "row": (1, 5)}
+        shapes = {"scalar": (), "vector": (3,), "matrix": (2, 4), "row": (1, 5),
+                  # more than two slices with a remainder; rows cross slice edges
+                  "chunked": (2, dc._ADAM_CHUNK + 3), "transposed": (4, 3)}
         params = {n: param(rng, *shape) for n, shape in shapes.items()}
+        # not C-contiguous: its flattened view is a copy the update must write back
+        params["transposed"] = dc.Tensor(rng.normal(size=(3, 4)).T, requires_grad=True)
+        data = params["transposed"].data
         opt = dc.Adam(params, lr=0.01)
+        assert all(opt.m[n].flags.c_contiguous and opt.v[n].flags.c_contiguous
+                   for n in params)
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         want = {n: p.data.copy() for n, p in params.items()}
         m = {n: np.zeros(shape) for n, shape in shapes.items()}
         v = {n: np.zeros(shape) for n, shape in shapes.items()}
         for t in range(1, 6):
             for n, p in params.items():
-                p.grad = None if (n, t) == ("matrix", 3) else rng.normal(size=shapes[n])
+                if (n, t) in {("matrix", 3), ("chunked", 2)}:
+                    p.grad = None
+                elif n == "transposed":
+                    p.grad = rng.normal(size=shapes[n][::-1]).T
+                else:
+                    p.grad = rng.normal(size=shapes[n])
                 g = np.zeros(shapes[n]) if p.grad is None else p.grad
                 m[n] = b1 * m[n] + (1.0 - b1) * g
                 v[n] = b2 * v[n] + (1.0 - b2) * g * g
@@ -454,6 +466,7 @@ class TestAdam:
                 assert np.array_equal(p.data, want[n])
                 assert np.array_equal(opt.m[n], m[n])
                 assert np.array_equal(opt.v[n], v[n])
+        assert params["transposed"].data is data
 
     def test_step_allocates_less_than_a_parameter(self):
         p = dc.Tensor(np.zeros(1_000_000), requires_grad=True)
@@ -466,6 +479,16 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < p.data.nbytes
+
+    def test_construction_allocates_the_moments_and_cache_sized_scratch(self):
+        p = dc.Tensor(np.zeros(1_000_000), requires_grad=True)
+        tracemalloc.start()
+        try:
+            dc.Adam({"p": p})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * p.data.nbytes
 
 
 class TestClip:
@@ -481,6 +504,32 @@ class TestClip:
         a.grad = np.array([0.3, 0.4])
         dc.clip_gradients({"a": a}, 1.0)
         np.testing.assert_allclose(a.grad, [0.3, 0.4])
+
+    def test_allocates_less_than_a_gradient(self):
+        a = dc.Tensor(np.zeros(1_000_000), requires_grad=True)
+        a.grad = np.random.default_rng(42).normal(size=a.data.shape)
+        tracemalloc.start()
+        try:
+            norm = dc.clip_gradients({"a": a}, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm > 1.0 and abs(np.linalg.norm(a.grad) - 1.0) < 1e-12
+        assert peak < a.grad.nbytes
+
+    def test_global_norm_is_the_root_sum_of_squares(self):
+        rng = np.random.default_rng(43)
+        grads = {"scalar": np.array(-1.7), "vector": rng.normal(size=1000),
+                 "transposed": rng.normal(size=(5, 3)).T}
+        params = {n: dc.Tensor(np.zeros(g.shape), requires_grad=True)
+                  for n, g in grads.items()}
+        params["no_grad"] = dc.Tensor(np.zeros(2), requires_grad=True)
+        for n, g in grads.items():
+            params[n].grad = g
+            alone = dc.global_grad_norm({n: params[n]})
+            assert abs(alone - np.sqrt(np.sum(g * g))) <= 1e-15 * alone
+        want = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
+        assert abs(dc.global_grad_norm(params) - want) <= 1e-15 * want
 
 
 class TestNoGrad:

@@ -221,6 +221,21 @@ class TestEvaluate:
             evaluate(preds, refs)
         assert "Q9" in str(err.value) and "Q7" in str(err.value)
 
+    @pytest.mark.parametrize("first,second", [("5", 5), (5, "5")],
+                             ids=["string-then-number", "number-then-string"])
+    def test_duplicate_id_rejected_as_stored(self, tmp_path, first, second):
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text(json.dumps({
+            "entity_id": "5", "label": "x", "description": "street",
+            "statements": [["p31", "instance of", "street"]],
+        }) + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps({"entity_id": eid, "hypothesis": hyp}) + "\n"
+                                 for eid, hyp in [(first, "street"), (second, "canal")]),
+                         encoding="utf-8")
+        with pytest.raises(TypedescError, match="line 2: duplicate entity_id '5'"):
+            evaluate(preds, refs)
+
     def test_empty_predictions_rejected(self, tmp_path):
         refs = tmp_path / "refs.jsonl"
         refs.write_text("", encoding="utf-8")
