@@ -14,6 +14,9 @@ from .lexicon import BOS, EOS, HED, MOD, PAD, UNK
 
 RESERVED_WORDS = (PAD, UNK, BOS, EOS)
 RESERVED_PROPERTIES = (PAD, UNK)
+# the tokens each VocabSet vocabulary must hold, since the code looks them up by name
+REQUIRED_TOKENS = {"value_vocab": (UNK,), "property_vocab": (UNK,),
+                   "target_vocab": (UNK, BOS, EOS), "template_vocab": (UNK, BOS, EOS)}
 
 # Wikidata property ids whose values are candidate entity types.
 TYPE_PROPERTY_IDS = frozenset({"p31", "p279"})
@@ -87,6 +90,10 @@ class VocabSet:
     template_vocab: dict[str, int]
 
     def __post_init__(self):
+        for attr, tokens in REQUIRED_TOKENS.items():
+            for token in tokens:
+                if token not in getattr(self, attr):
+                    raise CorpusError(f"{attr} lacks the reserved token '{token}'")
         self.target_itos = _itos(self.target_vocab)
         self.template_itos = _itos(self.template_vocab)
 
@@ -216,7 +223,7 @@ def reconstruct_infobox(entity: Entity, max_position: int) -> list[SourceToken]:
 
 
 def build_vocabs(train: list[Entity], value_vocab_size: int, target_vocab_size: int,
-                 max_position: int = 16) -> VocabSet:
+                 max_position: int) -> VocabSet:
     """Frequency vocabularies from the training split only.
 
     Sizes include the reserved tokens. Ties at the cutoff keep the
@@ -276,31 +283,6 @@ def split_dataset(entities: list[Entity], seed: int) -> DatasetSplit:
     )
 
 
-def corpus_copy_ratio(entities: list[Entity]) -> float:
-    """Fraction of non-stopword description tokens copied from source values.
-
-    Copying uses the same 4-character-prefix rule as the ModCopy metric, but
-    head words are not excluded here.
-    """
-    from .metrics import is_copied  # local import: metrics depends on this module
-
-    copied = 0
-    total = 0
-    for ent in entities:
-        source_words = []
-        for _pid, _plabel, value in ent.statements:
-            source_words.extend(tokenize(value))
-        for tok in ent.description_tokens:
-            if tok in lexicon.STOPWORDS or lexicon.is_punctuation(tok):
-                continue
-            total += 1
-            if is_copied(tok, source_words):
-                copied += 1
-    if total == 0:
-        raise CorpusError("no non-stopword description tokens in the corpus")
-    return copied / total
-
-
 def write_vocab_file(path, vocab: dict[str, int]):
     """One token per line; the line number is the id."""
     itos = _itos(vocab)
@@ -312,4 +294,11 @@ def read_vocab_file(path) -> dict[str, int]:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    return {token: i for i, token in enumerate(lines)}
+    vocab = {token: i for i, token in enumerate(lines)}
+    if len(vocab) != len(lines):  # a token repeats; name its first repeat
+        first = {}
+        for lineno, token in enumerate(lines, start=1):
+            if first.setdefault(token, lineno) != lineno:
+                raise CorpusError(
+                    f"{path}: line {lineno}: token {token!r} repeats line {first[token]}")
+    return vocab

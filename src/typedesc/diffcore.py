@@ -101,9 +101,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -499,8 +496,7 @@ _ADAM_CHUNK = 32768
 class Adam:
     """Adam with bias correction over a named parameter dict, updated in place."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float, beta1: float, beta2: float, eps: float):
         self.params = params
         self.lr = lr
         self.beta1 = beta1

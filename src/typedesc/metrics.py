@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 
 from . import annotator, lexicon
-from .corpus import TYPE_PROPERTY_IDS, Entity, read_jsonl, tokenize
-from .errors import TypedescError
+from .corpus import TYPE_PROPERTY_IDS, Entity, load_jsonl, read_jsonl, tokenize
+from .errors import CorpusError, TypedescError
 
 ROUGE_BETA = 1.2
 COPY_PREFIX_LEN = 4  # characters a copied word shares with a source word
@@ -100,6 +100,29 @@ def is_copied(word: str, source_values: list[str]) -> bool:
     return any(head == src[:k] for src in source_values if src not in lexicon.STOPWORDS)
 
 
+def corpus_copy_ratio(entities: list[Entity]) -> float:
+    """Fraction of non-stopword description tokens copied from source values.
+
+    Copying is `is_copied`'s prefix rule, as in ModCopy, but head words are
+    not excluded here.
+    """
+    copied = 0
+    total = 0
+    for ent in entities:
+        source_words = []
+        for _pid, _plabel, value in ent.statements:
+            source_words.extend(tokenize(value))
+        for tok in ent.description_tokens:
+            if tok in lexicon.STOPWORDS or lexicon.is_punctuation(tok):
+                continue
+            total += 1
+            if is_copied(tok, source_words):
+                copied += 1
+    if total == 0:
+        raise CorpusError("no non-stopword description tokens in the corpus")
+    return copied / total
+
+
 def mod_copy(records: list[EvalRecord]) -> float:
     """Corpus ratio of hypothesis modifier words copied from the source values.
 
@@ -187,8 +210,6 @@ def evaluate_records(records: list[EvalRecord]) -> dict:
 
 def evaluate(predictions_path, references_path) -> dict:
     """Score a predictions JSONL ({"entity_id", "hypothesis"}) against reference entities."""
-    from .corpus import load_jsonl
-
     predictions = {}
     for lineno, obj in read_jsonl(predictions_path, ("entity_id", "hypothesis")):
         entity_id = str(obj["entity_id"])

@@ -122,10 +122,9 @@ def template_nll(enc: EncoderOutput, template_tokens: list[str], vocabs: VocabSe
     return diffcore.add_n(losses)
 
 
-def generate_template(enc: EncoderOutput, vocabs: VocabSet, params: dict,
-                      max_len: int = MAX_TEMPLATE_LEN, mode: str = "greedy",
-                      beam_width: int = 1) -> list[str]:
-    """Decode a template until eos or max_len, greedy by default; tapes unless under no_grad."""
+def generate_template(enc: EncoderOutput, vocabs: VocabSet, params: dict, max_len: int,
+                      mode: str, beam_width: int) -> list[str]:
+    """Decode a template until eos or max_len; tapes unless under no_grad."""
 
     def step(prev_id, state):
         probs, s_next = decode_template_step(prev_id, state, enc, params)

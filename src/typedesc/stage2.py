@@ -219,8 +219,7 @@ def description_nll(enc: EncoderOutput, template_enc: EncoderOutput,
 
 def decode_description(enc: EncoderOutput, template_enc: EncoderOutput,
                        extvocab: ExtendedVocab, vocabs: VocabSet, params: dict,
-                       max_len: int = MAX_DESCRIPTION_LEN, mode: str = "greedy",
-                       beam_width: int = 1) -> list[str]:
+                       max_len: int, mode: str, beam_width: int) -> list[str]:
     """Decode a description, copied OOV words verbatim; tapes unless under no_grad."""
 
     def step(prev_ext_id, state):

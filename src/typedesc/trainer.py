@@ -63,11 +63,11 @@ class TwoStageModel:
         source = reconstruct_infobox(entity, self.vocabs.position_count)
         return source, stage1.encode_infobox(source, self.vocabs, self.params)
 
-    def joint_loss(self, entity: Entity, gold_template: list[str] | None = None) -> Tensor:
+    def joint_loss(self, entity: Entity) -> Tensor:
         """L1 (template) + L2 (description), both teacher forced on gold targets."""
         if not entity.description.strip():
             raise TypedescError(f"entity {entity.entity_id} has no description")
-        template = gold_template if gold_template is not None else self.gold_template(entity)
+        template = self.gold_template(entity)
         source, enc = self.encode_entity(entity)
         loss1 = stage1.template_nll(enc, template, self.vocabs, self.params)
         template_enc = stage2.encode_template(template, self.vocabs, self.params)
@@ -133,7 +133,6 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
     model = TwoStageModel.build(dims, vocabs, config.seed)
     optimizer = Adam(model.params, config.lr, config.beta1, config.beta2, config.eps)
     order_rng = random.Random(config.seed)
-    templates = {e.entity_id: model.gold_template(e) for e in data.train}
 
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -167,7 +166,7 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
             epoch_losses = []
             for lo in range(0, len(indices), config.batch_size):
                 batch = [data.train[i] for i in indices[lo:lo + config.batch_size]]
-                losses = [model.joint_loss(e, templates[e.entity_id]) for e in batch]
+                losses = [model.joint_loss(e) for e in batch]
                 batch_loss = add_n(losses) * (1.0 / len(losses))
                 optimizer.zero_grads()
                 batch_loss.backward()

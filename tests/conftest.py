@@ -1,8 +1,18 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import synthdata
 from typedesc.corpus import Entity
 from typedesc.stage1 import ModelDims
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants of the source it collects, whatever the
+    # test's database setting; keep that cache out of the checkout
+    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "typedesc-hypothesis")
 
 
 @pytest.fixture(scope="session")

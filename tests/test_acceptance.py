@@ -14,10 +14,11 @@ import pytest
 
 import synthdata
 from typedesc import annotator, diffcore as dc, stage1, stage2
-from typedesc.corpus import (DatasetSplit, Entity, VocabSet, corpus_copy_ratio,
-                             filter_entities, load_jsonl, reconstruct_infobox)
+from typedesc.config import RunConfig
+from typedesc.corpus import (DatasetSplit, Entity, VocabSet, filter_entities, load_jsonl,
+                             reconstruct_infobox)
 from typedesc.lexicon import BOS, EOS, HED, MOD, PAD, UNK, is_function
-from typedesc.metrics import EvalRecord, bleu_n, hed_acc, mod_copy
+from typedesc.metrics import EvalRecord, bleu_n, corpus_copy_ratio, hed_acc, mod_copy
 from typedesc.stage1 import ModelDims
 from typedesc.trainer import TrainConfig, TwoStageModel, train
 
@@ -64,7 +65,8 @@ def template_exact_match(model, entities):
     with dc.no_grad():
         for ent in entities:
             _, enc = model.encode_entity(ent)
-            produced = stage1.generate_template(enc, model.vocabs, model.params, max_len=16)
+            produced = stage1.generate_template(enc, model.vocabs, model.params,
+                                                RunConfig().max_template_len, "greedy", 1)
             hits += produced == model.gold_template(ent)
     return hits / len(entities)
 
@@ -196,7 +198,7 @@ def test_criterion_1_gradient_correctness():
         copy_errs.append(dc.grad_check(copy_loss, copy_params))
         # the joint loss sits near 25, so central differences need a larger
         # step before cancellation noise drowns the tiniest gradient elements
-        joint_errs.append(dc.grad_check(lambda: model.joint_loss(ent, template),
+        joint_errs.append(dc.grad_check(lambda: model.joint_loss(ent),
                                         list(model.params.values()), epsilon=1e-4))
     worst["copy_gen"] = max(copy_errs)
     worst["joint_loss"] = max(joint_errs)

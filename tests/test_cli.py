@@ -349,6 +349,52 @@ class TestGenerateCommand:
         assert len(got[0].splitlines()) == len(corpus.load_jsonl(data_dir / "test.jsonl"))
 
 
+class TestVocabularyFiles:
+    """A damaged vocabulary file is one error line, and no output is touched."""
+
+    @staticmethod
+    def damage(path, edit):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if edit == "drop <bos>":
+            lines.remove("<bos>")
+        else:  # "N over M": line N's token written over line M
+            src, dst = (int(n) for n in edit.split(" over "))
+            lines[dst - 1] = lines[src - 1]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("filename,edit,named", [
+        ("target_vocab.txt", "drop <bos>", "target_vocab lacks the reserved token '<bos>'"),
+        ("template_vocab.txt", "6 over 8", "template_vocab.txt: line 8: token"),
+    ])
+    def test_train_rejects_data_dir(self, pipeline, tmp_path, capsys, filename, edit, named):
+        data_dir, _ = pipeline
+        bad_data = tmp_path / "data"
+        shutil.copytree(data_dir, bad_data)
+        self.damage(bad_data / filename, edit)
+        out_dir = tmp_path / "run"
+        assert run("train", "--data-dir", str(bad_data), "--out-dir", str(out_dir),
+                   "--max-epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and len(err.splitlines()) == 1
+        assert named in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("filename", ["target_vocab.txt", "value_vocab.txt"])
+    def test_generate_rejects_run_dir(self, pipeline, tmp_path, capsys, filename):
+        data_dir, run_dir = pipeline
+        bad_dir = copy_run_files(run_dir, tmp_path / "bad_run")
+        shutil.copyfile(run_dir / "checkpoint.bin", bad_dir / "checkpoint.bin")
+        self.damage(bad_dir / filename, "6 over 7")
+        out = tmp_path / "preds.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+        assert run("generate", "--checkpoint", str(bad_dir / "checkpoint.bin"),
+                   "--input", str(data_dir / "test.jsonl"), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and len(err.splitlines()) == 1
+        assert f"{filename}: line 7: token" in err and "repeats line 6" in err
+        assert out.read_text(encoding="utf-8") == "old\n"
+
+
 def copy_run_files(run_dir, bad_dir):
     """A run directory with the config and vocabularies of `run_dir` and no checkpoint."""
     bad_dir.mkdir()

@@ -1,11 +1,15 @@
+import inspect
 from dataclasses import fields
 
 import pytest
 
+from typedesc import corpus, diffcore, stage1, stage2
 from typedesc.config import RunConfig, load_config, save_config
 from typedesc.errors import TypedescError
 from typedesc.stage1 import ModelDims
-from typedesc.trainer import TrainConfig
+from typedesc.trainer import TrainConfig, TwoStageModel
+
+NO_DEFAULT = inspect.Parameter.empty
 
 KEYS = ["lr", "beta1", "beta2", "eps", "batch_size", "max_epochs", "seed", "grad_clip_norm",
         "validate_every", "early_stop_patience", "d_h", "d_word", "d_prop", "d_pos",
@@ -22,6 +26,25 @@ def test_keys_are_pinned(tmp_path):
 def test_parts_keep_their_defaults():
     assert RunConfig().train_config() == TrainConfig()
     assert RunConfig().dims() == ModelDims()
+
+
+# the last parameters of each signature, in order, with their defaults
+@pytest.mark.parametrize("func,tail", [
+    (diffcore.Adam, {"lr": NO_DEFAULT, "beta1": NO_DEFAULT, "beta2": NO_DEFAULT,
+                     "eps": NO_DEFAULT}),
+    (stage1.generate_template, {"max_len": NO_DEFAULT, "mode": NO_DEFAULT,
+                                "beam_width": NO_DEFAULT}),
+    (stage2.decode_description, {"max_len": NO_DEFAULT, "mode": NO_DEFAULT,
+                                 "beam_width": NO_DEFAULT}),
+    (corpus.build_vocabs, {"max_position": NO_DEFAULT}),
+    (TwoStageModel.joint_loss, {"self": NO_DEFAULT, "entity": NO_DEFAULT}),
+    (TwoStageModel.generate, {"max_template_len": RunConfig().max_template_len,
+                              "max_description_len": RunConfig().max_description_len}),
+], ids=["Adam", "generate_template", "decode_description", "build_vocabs", "joint_loss",
+        "generate"])
+def test_each_default_lives_in_one_place(func, tail):
+    params = list(inspect.signature(func).parameters.values())[-len(tail):]
+    assert {p.name: p.default for p in params} == tail
 
 
 def test_round_trip_every_field(tmp_path):

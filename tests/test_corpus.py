@@ -1,12 +1,19 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from typedesc.corpus import (Entity, build_vocabs, corpus_copy_ratio, filter_entities,
-                             load_jsonl, reconstruct_infobox, split_dataset, tokenize)
+from typedesc.config import RunConfig
+from typedesc.corpus import (Entity, build_vocabs, filter_entities, load_jsonl,
+                             read_vocab_file, reconstruct_infobox, split_dataset, tokenize)
 from typedesc.errors import CorpusError
-from typedesc.lexicon import HED, MOD, UNK
+from typedesc.lexicon import BOS, DETACHABLE_PUNCTUATION, EOS, HED, MOD, UNK
+from typedesc.metrics import corpus_copy_ratio
+
+MAX_POSITION = RunConfig().max_position
 
 
 def write_lines(path, lines):
@@ -34,6 +41,14 @@ class TestTokenize:
     def test_already_tokenized_is_stable(self):
         tokens = tokenize("street in paris , france")
         assert tokens == ["street", "in", "paris", ",", "france"]
+        assert tokenize(" ".join(tokens)) == tokens
+
+    # any text, with the characters tokenize treats specially drawn often
+    @settings(derandomize=True, database=None, max_examples=500)
+    @given(st.text(st.one_of(st.sampled_from(" \t\n" + DETACHABLE_PUNCTUATION + "aA"),
+                             st.characters())))
+    def test_retokenizing_is_the_identity(self, text):
+        tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
 
 
@@ -132,20 +147,20 @@ class TestBuildVocabs:
     def test_frequency_cutoff(self):
         ents = ([entity(5, description="street") for _ in range(10)]
                 + [entity(5, description="river")])
-        vocabs = build_vocabs(ents, 64, 5)  # 4 reserved + 1 slot
+        vocabs = build_vocabs(ents, 64, 5, MAX_POSITION)  # 4 reserved + 1 slot
         assert "street" in vocabs.target_vocab
         assert "river" not in vocabs.target_vocab
         assert vocabs.target_id("river") == vocabs.target_vocab[UNK]
 
     def test_tie_break_is_lexicographic(self):
         ents = [entity(5, description="zebra apple")]
-        vocabs = build_vocabs(ents, 64, 5)
+        vocabs = build_vocabs(ents, 64, 5, MAX_POSITION)
         assert "apple" in vocabs.target_vocab
         assert "zebra" not in vocabs.target_vocab
 
     def test_template_vocab_has_slot_tokens(self):
         ents = [entity(5)]
-        vocabs = build_vocabs(ents, 64, 64)
+        vocabs = build_vocabs(ents, 64, 64, MAX_POSITION)
         assert HED in vocabs.template_vocab
         assert MOD in vocabs.template_vocab
 
@@ -153,20 +168,38 @@ class TestBuildVocabs:
         # "country" appears both as a property and as a value word; ids are
         # assigned independently in separate tables.
         ents = [Entity("Q1", "l", "d", [("p17", "country", "country road")])]
-        vocabs = build_vocabs(ents, 64, 64)
+        vocabs = build_vocabs(ents, 64, 64, MAX_POSITION)
         assert "country" in vocabs.value_vocab
         assert "country" in vocabs.property_vocab
 
     def test_size_below_reserved_rejected(self):
         with pytest.raises(CorpusError):
-            build_vocabs([entity(5)], 3, 64)
+            build_vocabs([entity(5)], 3, 64, MAX_POSITION)
 
     def test_deterministic(self):
         ents = [entity(5, description="a b c %d" % i, eid="Q%d" % i) for i in range(6)]
-        v1 = build_vocabs(ents, 64, 64)
-        v2 = build_vocabs(ents, 64, 64)
+        v1 = build_vocabs(ents, 64, 64, MAX_POSITION)
+        v2 = build_vocabs(ents, 64, 64, MAX_POSITION)
         assert v1.target_vocab == v2.target_vocab
         assert v1.value_vocab == v2.value_vocab
+
+
+class TestVocabFiles:
+    def test_repeated_token_names_both_lines(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("<pad>\n<unk>\nstreet\nlake\nstreet\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"v\.txt: line 5: token 'street' repeats line 3"):
+            read_vocab_file(path)
+
+    @pytest.mark.parametrize("attr,token", [("value_vocab", UNK), ("property_vocab", UNK),
+                                            ("target_vocab", UNK), ("target_vocab", BOS),
+                                            ("target_vocab", EOS), ("template_vocab", UNK),
+                                            ("template_vocab", BOS), ("template_vocab", EOS)])
+    def test_missing_reserved_token_rejected(self, attr, token):
+        vocabs = build_vocabs([entity(5)], 64, 64, MAX_POSITION)
+        kept = [w for w in getattr(vocabs, attr) if w != token]
+        with pytest.raises(CorpusError, match=f"{attr} lacks the reserved token '{token}'"):
+            replace(vocabs, **{attr: {w: i for i, w in enumerate(kept)}})
 
 
 class TestSplitDataset:

@@ -8,7 +8,8 @@ from typedesc import stage1
 from typedesc.corpus import SourceToken, build_vocabs, reconstruct_infobox
 from typedesc.errors import TypedescError
 from typedesc.lexicon import BOS
-from typedesc.trainer import TwoStageModel
+from typedesc.config import RunConfig
+from typedesc.trainer import TrainConfig, TwoStageModel
 
 
 @pytest.fixture(scope="module")
@@ -126,29 +127,30 @@ class TestGenerateTemplate:
     def test_max_len_one(self, setup):
         ent, vocabs, model = setup
         _, enc = model.encode_entity(ent)
-        tokens = stage1.generate_template(enc, vocabs, model.params, max_len=1)
+        tokens = stage1.generate_template(enc, vocabs, model.params, 1, "greedy", 1)
         assert len(tokens) <= 1
 
     def test_beam_one_equals_greedy(self, setup):
         ent, vocabs, model = setup
         _, enc = model.encode_entity(ent)
-        greedy = stage1.generate_template(enc, vocabs, model.params, max_len=8)
-        beam = stage1.generate_template(enc, vocabs, model.params, max_len=8,
-                                        mode="beam", beam_width=1)
+        greedy = stage1.generate_template(enc, vocabs, model.params, 8, "greedy", 1)
+        beam = stage1.generate_template(enc, vocabs, model.params, 8, "beam", 1)
         assert greedy == beam
 
     def test_unknown_mode_rejected(self, setup):
         ent, vocabs, model = setup
         _, enc = model.encode_entity(ent)
         with pytest.raises(TypedescError):
-            stage1.generate_template(enc, vocabs, model.params, mode="magic")
+            stage1.generate_template(enc, vocabs, model.params,
+                                     RunConfig().max_template_len, "magic", 1)
 
 
 class TestOverfitSanity:
     def test_loss_strictly_decreases_for_twenty_steps(self, setup, tiny_dims):
         ent, vocabs, _ = setup
         model = TwoStageModel.build(tiny_dims, vocabs, seed=4)
-        opt = dc.Adam(model.params, lr=1e-3)
+        cfg = TrainConfig()
+        opt = dc.Adam(model.params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
         template = model.gold_template(ent)
         losses = []
         for _ in range(21):

@@ -259,7 +259,7 @@ class TestDecodeDescription:
         template_enc = stage2.encode_template([HED], vocabs, model.params)
         ext = stage2.ExtendedVocab(vocabs, source)
         out = stage2.decode_description(enc, template_enc, ext, vocabs, model.params,
-                                        max_len=1)
+                                        1, "greedy", 1)
         assert len(out) <= 1
 
     def test_beam_one_equals_greedy(self, setup):
@@ -268,7 +268,7 @@ class TestDecodeDescription:
         template_enc = stage2.encode_template([HED, "in", MOD], vocabs, model.params)
         ext = stage2.ExtendedVocab(vocabs, source)
         greedy = stage2.decode_description(enc, template_enc, ext, vocabs, model.params,
-                                           max_len=6)
+                                           6, "greedy", 1)
         beamed = stage2.decode_description(enc, template_enc, ext, vocabs, model.params,
-                                           max_len=6, mode="beam", beam_width=1)
+                                           6, "beam", 1)
         assert greedy == beamed
