@@ -110,9 +110,8 @@ def cmd_train(args) -> int:
         shutil.copyfile(data_dir / filename, out_dir / filename)
 
     result = train(data, cfg.train_config(), cfg.dims(), vocabs, out_dir=out_dir)
-    last = result.epoch_rows[-1] if result.epoch_rows else {}
     print(f"trained {result.epochs_run} epochs; final train loss "
-          f"{last.get('train_loss', 'n/a')}; checkpoint at {out_dir / 'checkpoint.bin'}")
+          f"{result.epoch_rows[-1]['train_loss']}; checkpoint at {out_dir / 'checkpoint.bin'}")
     return 0
 
 

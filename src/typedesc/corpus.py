@@ -295,9 +295,11 @@ def read_vocab_file(path) -> dict[str, int]:
     except UnicodeDecodeError:
         raise not_utf8(path) from None
     vocab = {token: i for i, token in enumerate(lines)}
-    if len(vocab) != len(lines):  # a token repeats; name its first repeat
+    if len(vocab) != len(lines) or not all(map(str.strip, lines)):  # name the first bad line
         first = {}
         for lineno, token in enumerate(lines, start=1):
+            if not token.strip():  # before the repeat test: "" twice is a blank, not a repeat
+                raise CorpusError(f"{path}: line {lineno}: blank line where a token belongs")
             if first.setdefault(token, lineno) != lineno:
                 raise CorpusError(
                     f"{path}: line {lineno}: token {token!r} repeats line {first[token]}")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeMismatch, TypedescError
+from .errors import CheckpointError, ShapeMismatch, TrainingDiverged, TypedescError
 
 _GRAD_ENABLED = True
 
@@ -510,7 +510,9 @@ class Adam:
         self._scratch = (np.empty(size), np.empty(size))
 
     def step(self):
-        """One update; a non-finite gradient raises before any parameter moves.
+        """One update. Once the running sum of squares of the gradients (`np.vdot`,
+        global_grad_norm's sum in its order) is not finite, TrainingDiverged names
+        the parameter then reached, before any parameter, moment or `t` moves.
 
         Each parameter takes the textbook expressions in their usual order,
         m_hat = m / (1 - b1^t), v_hat = v / (1 - b2^t),
@@ -519,9 +521,12 @@ class Adam:
         parameter passes through memory once; every operation is elementwise,
         so slicing leaves the result bitwise unchanged.
         """
+        total = 0.0
         for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise TypedescError(f"non-finite gradient for parameter '{name}'")
+            total += 0.0 if p.grad is None else float(np.vdot(p.grad, p.grad))
+            if not math.isfinite(total):
+                raise TrainingDiverged(
+                    f"non-finite gradient at step {self.t + 1} in parameter '{name}'")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
@@ -564,9 +569,13 @@ def global_grad_norm(params: dict) -> float:
 
 
 def clip_gradients(params: dict, max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most max_norm; returns the norm."""
+    """Scale all gradients so the global norm is at most max_norm; returns the norm.
+
+    A norm that is not finite scales nothing: `Adam.step` sums the same squares
+    and rejects the gradients, which scaled by max_norm / inf would read 0 and pass.
+    """
     norm = global_grad_norm(params)
-    if norm > max_norm and norm > 0.0:
+    if max_norm < norm < math.inf:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:

@@ -22,4 +22,4 @@ class CheckpointError(TypedescError):
 
 
 class TrainingDiverged(TypedescError):
-    """Training produced a non-finite loss or gradient; the best checkpoint was kept."""
+    """Training produced a non-finite loss or gradient."""

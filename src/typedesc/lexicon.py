@@ -50,7 +50,7 @@ STOPWORDS = frozenset().union(
 # Punctuation detached by the tokenizer; commas matter because they are
 # template tokens in coordinated descriptions.
 DETACHABLE_PUNCTUATION = ",.()"
-PUNCTUATION_TOKENS = frozenset({",", ".", "(", ")"})
+PUNCTUATION_TOKENS = frozenset(DETACHABLE_PUNCTUATION)
 
 # Separators across which coordinated head runs continue.
 COORDINATORS = frozenset({",", "and"})

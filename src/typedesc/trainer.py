@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -108,7 +107,10 @@ class TrainResult:
     step_losses: list[float]
     epoch_rows: list[dict]
     best_valid_loss: float | None
-    epochs_run: int
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.epoch_rows)
 
 
 def _mean_valid_loss(model: TwoStageModel, entities: list[Entity]) -> float:
@@ -117,16 +119,15 @@ def _mean_valid_loss(model: TwoStageModel, entities: list[Entity]) -> float:
 
 
 def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: VocabSet,
-          out_dir=None, on_epoch=None) -> TrainResult:
+          out_dir, on_epoch=None) -> TrainResult:
     """Adam over shuffled epochs with gradient clipping and best-valid checkpointing.
 
     The result holds the parameters of the best validation epoch, or, when no
-    validation epoch has improved, those after the last completed step. Runs
-    are bit-for-bit reproducible under a fixed seed. On a non-finite training
-    loss, gradient norm or validation loss those same parameters and the log
-    are written before TrainingDiverged is raised. `on_epoch`, when given, is
-    called as on_epoch(epoch, model) after each epoch and may return True to
-    stop early.
+    validation epoch has improved, those after the last completed step. They
+    go to `out_dir` as checkpoint.bin, with train_log.csv, also when a
+    non-finite loss or gradient raises TrainingDiverged. Runs are bit-for-bit
+    reproducible under a fixed seed. `on_epoch`, when given, is called as
+    on_epoch(epoch, model) after each epoch and may return True to stop early.
     """
     if not data.train:
         raise TypedescError("training split is empty")
@@ -134,29 +135,25 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
     optimizer = Adam(model.params, config.lr, config.beta1, config.beta2, config.eps)
     order_rng = random.Random(config.seed)
 
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     step_losses: list[float] = []
     epoch_rows: list[dict] = []
     best_valid = None
     best_arrays = None  # a private copy of the best validation epoch's parameters
     patience_left = config.early_stop_patience
-    epochs_run = 0
 
     def finish():
         optimizer.zero_grads()
         if best_arrays is not None:
             for name, p in model.params.items():
                 p.data = best_arrays[name]
-        if out_dir is not None:
-            save_checkpoint(out_dir / "checkpoint.bin", model.params)
-            with atomic_write(out_dir / "train_log.csv", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss",
-                                                        "valid_loss", "seconds"])
-                writer.writeheader()
-                writer.writerows(epoch_rows)
+        save_checkpoint(out_dir / "checkpoint.bin", model.params)
+        with atomic_write(out_dir / "train_log.csv", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "valid_loss", "seconds"])
+            writer.writeheader()
+            writer.writerows(epoch_rows)
 
     try:
         for epoch in range(1, config.max_epochs + 1):
@@ -170,14 +167,11 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
                 batch_loss = add_n(losses) * (1.0 / len(losses))
                 optimizer.zero_grads()
                 batch_loss.backward()
-                if not math.isfinite(clip_gradients(model.params, config.grad_clip_norm)):
-                    raise TrainingDiverged(
-                        f"non-finite gradient at step {len(step_losses) + 1}")
+                clip_gradients(model.params, config.grad_clip_norm)
                 optimizer.step()
                 value = batch_loss.item()
                 step_losses.append(value)
                 epoch_losses.append(value)
-            epochs_run = epoch
 
             valid_loss = None
             if data.valid and epoch % config.validate_every == 0:
@@ -195,14 +189,11 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
                 "valid_loss": "" if valid_loss is None else f"{valid_loss:.6f}",
                 "seconds": f"{time.perf_counter() - started:.3f}",
             })
-            if data.valid and patience_left <= 0:
-                break
-            if on_epoch is not None and on_epoch(epoch, model):
+            if patience_left <= 0 or (on_epoch is not None and on_epoch(epoch, model)):
                 break
     except TrainingDiverged as exc:
         finish()
         raise TrainingDiverged(f"{exc}; best checkpoint retained") from None
 
     finish()
-    return TrainResult(model=model, step_losses=step_losses, epoch_rows=epoch_rows,
-                       best_valid_loss=best_valid, epochs_run=epochs_run)
+    return TrainResult(model, step_losses, epoch_rows, best_valid_loss=best_valid)

@@ -93,7 +93,7 @@ def token_accuracy(model, entities):
 
 
 @pytest.fixture(scope="module")
-def overfit():
+def overfit(tmp_path_factory):
     """Train on the 64-example synthetic corpus until both stages hit 95%."""
     entities = synthdata.make_corpus(n=64, seed=7)
     vocabs = synthdata.make_vocabs(entities, withhold_oov=True)
@@ -109,7 +109,7 @@ def overfit():
 
     started = time.perf_counter()
     result = train(data, TrainConfig(max_epochs=500, seed=0), OVERFIT_DIMS, vocabs,
-                   on_epoch=check)
+                   tmp_path_factory.mktemp("overfit"), on_epoch=check)
     state["seconds"] = time.perf_counter() - started
     state["epochs"] = result.epochs_run
     state.setdefault("template_exact", template_exact_match(result.model, entities))
@@ -349,14 +349,14 @@ def test_criterion_6_normalization_invariants():
           f"worst output-distribution deviation {worst_dist:.2e} over 100 fuzz steps")
 
 
-def test_criterion_7_determinism():
+def test_criterion_7_determinism(tmp_path):
     entities = synthdata.make_corpus(n=16, seed=3)
     vocabs = synthdata.make_vocabs(entities)
     dims = ModelDims(d_h=8, d_word=8, d_prop=4, d_pos=4)
     data = DatasetSplit(train=entities, valid=[], test=[])
     cfg = TrainConfig(max_epochs=3, batch_size=4, seed=21)
-    first = train(data, cfg, dims, vocabs)
-    second = train(data, cfg, dims, vocabs)
+    first = train(data, cfg, dims, vocabs, tmp_path / "first")
+    second = train(data, cfg, dims, vocabs, tmp_path / "second")
     assert len(first.step_losses) == len(second.step_losses)
     worst = max(abs(a - b) for a, b in zip(first.step_losses, second.step_losses))
     assert worst <= 1e-12

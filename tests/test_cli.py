@@ -394,6 +394,21 @@ class TestVocabularyFiles:
         assert f"{filename}: line 7: token" in err and "repeats line 6" in err
         assert out.read_text(encoding="utf-8") == "old\n"
 
+    def test_generate_names_a_blank_vocabulary_line(self, pipeline, tmp_path, capsys):
+        data_dir, run_dir = pipeline
+        bad_dir = copy_run_files(run_dir, tmp_path / "bad_run")
+        shutil.copyfile(run_dir / "checkpoint.bin", bad_dir / "checkpoint.bin")
+        vocab = bad_dir / "target_vocab.txt"
+        vocab.write_text(vocab.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        lineno = len(vocab.read_text(encoding="utf-8").splitlines())
+        assert run("generate", "--checkpoint", str(bad_dir / "checkpoint.bin"),
+                   "--input", str(data_dir / "test.jsonl"),
+                   "--out", str(tmp_path / "preds.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and len(err.splitlines()) == 1
+        assert f"target_vocab.txt: line {lineno}: blank line" in err
+        assert "checkpoint.bin" not in err
+
 
 def copy_run_files(run_dir, bad_dir):
     """A run directory with the config and vocabularies of `run_dir` and no checkpoint."""

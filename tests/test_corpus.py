@@ -163,6 +163,7 @@ class TestBuildVocabs:
         vocabs = build_vocabs(ents, 64, 64, MAX_POSITION)
         assert HED in vocabs.template_vocab
         assert MOD in vocabs.template_vocab
+        assert list(vocabs.template_vocab)[-4:] == ["(", ")", ",", "."]
 
     def test_value_and_property_spaces_disjoint(self):
         # "country" appears both as a property and as a value word; ids are
@@ -189,6 +190,13 @@ class TestVocabFiles:
         path = tmp_path / "v.txt"
         path.write_text("<pad>\n<unk>\nstreet\nlake\nstreet\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=r"v\.txt: line 5: token 'street' repeats line 3"):
+            read_vocab_file(path)
+
+    def test_blank_line_named_before_any_repeat(self, tmp_path):
+        path = tmp_path / "v.txt"
+        # a whitespace-only line, then two empty ones that would also repeat
+        path.write_text("<pad>\n<unk>\n \nstreet\n\n\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"v\.txt: line 3: blank line"):
             read_vocab_file(path)
 
     @pytest.mark.parametrize("attr,token", [("value_vocab", UNK), ("property_vocab", UNK),

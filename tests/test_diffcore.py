@@ -429,14 +429,17 @@ class TestAdam:
             opt.step()
 
     def test_non_finite_gradient_moves_no_parameter(self):
-        first = dc.Tensor(np.array([1.0]), requires_grad=True)
-        last = dc.Tensor(np.array([2.0]), requires_grad=True)
-        opt = adam({"first": first, "last": last}, 0.1)
-        first.grad, last.grad = np.array([1.0]), np.array([np.inf])
-        with pytest.raises(TypedescError, match="last"):
-            opt.step()
-        assert (first.data[0], last.data[0], opt.t) == (1.0, 2.0, 0)
-        np.testing.assert_array_equal(opt.m["first"], [0.0])
+        # 1e200 is finite, but its square overflows the sum of squares; two
+        # entries of 1e154 square to about 1e308 each, and only their total overflows
+        for first_g, last_g in ((1.0, np.inf), (1.0, 1e200), (1e154, 1e154)):
+            first = dc.Tensor(np.array([1.0]), requires_grad=True)
+            last = dc.Tensor(np.array([2.0]), requires_grad=True)
+            opt = adam({"first": first, "last": last}, 0.1)
+            first.grad, last.grad = np.array([first_g]), np.array([last_g])
+            with pytest.raises(TypedescError, match="last"):
+                opt.step()
+            assert (first.data[0], last.data[0], opt.t) == (1.0, 2.0, 0)
+            np.testing.assert_array_equal(opt.m["first"], [0.0])
 
 
     def test_in_place_update_is_the_textbook_formula(self):
@@ -487,6 +490,8 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < p.data.nbytes
+        # the finiteness check included: no temporary as large as a gradient
+        assert peak < 100_000
 
     def test_construction_allocates_the_moments_and_cache_sized_scratch(self):
         p = dc.Tensor(np.zeros(1_000_000), requires_grad=True)

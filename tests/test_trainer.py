@@ -139,29 +139,29 @@ class TestTrain:
             return DatasetSplit(train=ents[:-n_valid], valid=ents[-n_valid:], test=[])
         return DatasetSplit(train=ents, valid=[], test=[])
 
-    def test_single_example_overfits(self, corpus):
+    def test_single_example_overfits(self, corpus, tmp_path):
         # needs a realistically sized model: Adam's per-step movement scales
         # with parameter count, so tiny dims stall well above the bound
         ents, vocabs, _ = corpus
         dims = stage1.ModelDims(d_h=64, d_word=64, d_prop=32, d_pos=32)
         data = self.split([ents[2]])
         cfg = TrainConfig(max_epochs=500, batch_size=1, seed=11)
-        result = train(data, cfg, dims, vocabs)
+        result = train(data, cfg, dims, vocabs, tmp_path)
         assert result.step_losses[-1] < 0.05
 
-    def test_same_seed_identical_trajectories(self, corpus):
+    def test_same_seed_identical_trajectories(self, corpus, tmp_path):
         ents, vocabs, dims = corpus
         data = self.split(ents[:4])
         cfg = TrainConfig(max_epochs=3, batch_size=2, seed=13)
-        a = train(data, cfg, dims, vocabs)
-        b = train(data, cfg, dims, vocabs)
+        a = train(data, cfg, dims, vocabs, tmp_path / "a")
+        b = train(data, cfg, dims, vocabs, tmp_path / "b")
         assert a.step_losses == b.step_losses
 
-    def test_zero_lr_leaves_parameters(self, corpus):
+    def test_zero_lr_leaves_parameters(self, corpus, tmp_path):
         ents, vocabs, dims = corpus
         data = self.split(ents[:2])
         cfg = TrainConfig(lr=0.0, max_epochs=2, batch_size=2, seed=1)
-        result = train(data, cfg, dims, vocabs)
+        result = train(data, cfg, dims, vocabs, tmp_path)
         fresh = TwoStageModel.build(dims, vocabs, seed=1)
         for name, p in result.model.params.items():
             np.testing.assert_array_equal(p.data, fresh.params[name].data)
@@ -208,11 +208,11 @@ class TestTrain:
         for name, p in result.model.params.items():
             np.testing.assert_array_equal(loaded[name].data, p.data)
 
-    def test_epoch_callback_stops_early(self, corpus):
+    def test_epoch_callback_stops_early(self, corpus, tmp_path):
         ents, vocabs, dims = corpus
         data = self.split(ents[:2])
         cfg = TrainConfig(max_epochs=50, batch_size=2, seed=4)
-        result = train(data, cfg, dims, vocabs,
+        result = train(data, cfg, dims, vocabs, tmp_path,
                        on_epoch=lambda epoch, model: epoch >= 3)
         assert result.epochs_run == 3
 
@@ -252,23 +252,35 @@ class TestTrain:
         ents, vocabs, dims = corpus
         data = self.split(ents[:4])
         cfg = TrainConfig(max_epochs=3, batch_size=2, seed=2)
-        seen = []
+        cases = [
+            ({"s2.gen.b": np.nan}, 4),
+            # every entry finite, but the sum of squares overflows: clipping must
+            # not scale such a gradient to zero, or the step goes through unchecked
+            ({"s2.gen.b": 1e200}, 3),
+            # each parameter's sum of squares is finite; only the global one overflows
+            ({"s1.out.b": 1e154, "s2.gen.b": 1e154}, 3),
+        ]
+        for case, (poison, step) in enumerate(cases):
+            out_dir = tmp_path / str(case)
+            seen = []
 
-        def poisoned_clip(params, max_norm):
-            # the parameters clip sees are those after the previous step
-            seen.append({name: p.data.copy() for name, p in params.items()})
-            if len(seen) == 4:  # the second step of epoch 2
-                params["s2.gen.b"].grad[0] = np.nan
-            return dc.clip_gradients(params, max_norm)
+            def poisoned_clip(params, max_norm):
+                # the parameters clip sees are those after the previous step
+                seen.append({name: p.data.copy() for name, p in params.items()})
+                if len(seen) == step:  # two steps per epoch
+                    for name, value in poison.items():
+                        params[name].grad[0] = value
+                return dc.clip_gradients(params, max_norm)
 
-        monkeypatch.setattr(trainer, "clip_gradients", poisoned_clip)
-        with pytest.raises(TrainingDiverged, match="gradient at step 4"):
-            train(data, cfg, dims, vocabs, out_dir=tmp_path)
-        loaded = dc.load_checkpoint(tmp_path / "checkpoint.bin")
-        assert set(loaded) == set(seen[-1])
-        for name, arr in seen[-1].items():
-            np.testing.assert_array_equal(loaded[name].data, arr)
-        assert any(not np.array_equal(seen[-1][name], seen[-2][name]) for name in loaded)
+            monkeypatch.setattr(trainer, "clip_gradients", poisoned_clip)
+            with pytest.raises(TrainingDiverged, match=f"gradient at step {step}"):
+                train(data, cfg, dims, vocabs, out_dir=out_dir)
+            loaded = dc.load_checkpoint(out_dir / "checkpoint.bin")
+            assert set(loaded) == set(seen[-1])
+            for name, arr in seen[-1].items():
+                np.testing.assert_array_equal(loaded[name].data, arr)
+            assert any(not np.array_equal(seen[-1][name], seen[-2][name])
+                       for name in loaded)
 
     def test_validation_divergence_keeps_checkpoint_and_log(self, tmp_path, monkeypatch):
         # one step at lr=1e300 leaves finite weights of about 1e300, on which the
