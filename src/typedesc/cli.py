@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import annotator, corpus, diffcore, metrics, search
 from .config import RunConfig, load_config, save_config
-from .errors import TypedescError
+from .errors import TrainingDiverged, TypedescError
 from .trainer import TwoStageModel, train
 
 VOCAB_FILES = {
@@ -48,9 +48,6 @@ def cmd_prepare(args) -> int:
     split = corpus.split_dataset(kept, cfg.seed)
     vocabs = corpus.build_vocabs(split.train, cfg.value_vocab_size, cfg.target_vocab_size,
                                  cfg.max_position)
-    for part in (split.train, split.valid, split.test):
-        for ent in part:
-            ent.template = " ".join(annotator.annotate(ent.description_tokens).template)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -97,19 +94,22 @@ def cmd_train(args) -> int:
     data_fields = ("max_position", "value_vocab_size", "target_vocab_size", "min_statements")
     cfg = replace(cfg, **flags, **{name: getattr(data_cfg, name) for name in data_fields})
 
-    data = corpus.DatasetSplit(
-        train=corpus.load_jsonl(data_dir / "train.jsonl"),
-        valid=corpus.load_jsonl(data_dir / "valid.jsonl"),
-        test=corpus.load_jsonl(data_dir / "test.jsonl"),
-    )
+    data = corpus.DatasetSplit(train=corpus.load_jsonl(data_dir / "train.jsonl"),
+                               valid=corpus.load_jsonl(data_dir / "valid.jsonl"), test=[])
     vocabs = _read_vocab_files(data_dir, cfg.max_position)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out_dir / "config.txt")
-    for filename in VOCAB_FILES.values():
-        shutil.copyfile(data_dir / filename, out_dir / filename)
 
-    result = train(data, cfg.train_config(), cfg.dims(), vocabs, out_dir=out_dir)
+    def write_run_files():  # only next to a checkpoint that train() has just written
+        save_config(cfg, out_dir / "config.txt")
+        for filename in VOCAB_FILES.values():
+            shutil.copyfile(data_dir / filename, out_dir / filename)
+
+    try:
+        result = train(data, cfg.train_config(), cfg.dims(), vocabs, out_dir=out_dir)
+    except TrainingDiverged:
+        write_run_files()
+        raise
+    write_run_files()
     print(f"trained {result.epochs_run} epochs; final train loss "
           f"{result.epoch_rows[-1]['train_loss']}; checkpoint at {out_dir / 'checkpoint.bin'}")
     return 0

@@ -66,13 +66,13 @@ class RunConfig(ModelDims, TrainConfig):
 
 
 def load_config(path) -> RunConfig:
-    """Parse key=value lines over the defaults; unknown keys and bad values are rejected."""
+    """Parse key=value lines over the defaults; unknown or repeated keys and bad values fail."""
     casts = {f.name: (int if f.default.__class__ is int else float) for f in fields(RunConfig)}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    values = {}
+    values, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,6 +82,9 @@ def load_config(path) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in casts:
             raise TypedescError(f"{path}: line {lineno}: unknown config key '{key}'")
+        if first.setdefault(key, lineno) != lineno:
+            raise TypedescError(
+                f"{path}: line {lineno}: key '{key}' repeats line {first[key]}")
         try:
             values[key] = casts[key](value)
         except ValueError:

@@ -58,7 +58,6 @@ class Entity:
     label: str
     description: str
     statements: list[tuple[str, str, str]]
-    template: str | None = None
 
     @property
     def description_tokens(self) -> list[str]:
@@ -157,6 +156,17 @@ def read_jsonl(path, keys):
         raise not_utf8(path) from None
 
 
+_JSON_KINDS = {type(None): "null", bool: "true/false", list: "an array", dict: "an object"}
+
+
+def json_text(value, path, lineno: int, key: str) -> str:
+    """A JSON string or number as text; any other JSON value is an error naming the key."""
+    if isinstance(value, str) or type(value) in (int, float):
+        return str(value)
+    raise CorpusError(f"{path}: line {lineno}: '{key}' must be a string or a number, "
+                      f"got {_JSON_KINDS[type(value)]}")
+
+
 def load_jsonl(path) -> list[Entity]:
     """Load entities from a JSONL file, lowercasing all text.
 
@@ -173,15 +183,16 @@ def load_jsonl(path) -> list[Entity]:
                 raise CorpusError(
                     f"{path}: line {lineno}: statement must be "
                     f"[property_id, property_label, value], got {st!r}")
-            pid, plabel, value = (str(part).lower() for part in st)
+            pid, plabel, value = (json_text(part, path, lineno, "statements").lower()
+                                  for part in st)
             statements.append((" ".join(pid.split()), " ".join(plabel.split()),
                                " ".join(value.split())))
         entities.append(Entity(
-            entity_id=str(obj["entity_id"]),
-            label=" ".join(str(obj["label"]).lower().split()),
-            description=" ".join(tokenize(str(obj["description"]))),
+            entity_id=json_text(obj["entity_id"], path, lineno, "entity_id"),
+            label=" ".join(json_text(obj["label"], path, lineno, "label").lower().split()),
+            description=" ".join(tokenize(
+                json_text(obj["description"], path, lineno, "description"))),
             statements=statements,
-            template=str(obj["template"]) if obj.get("template") else None,
         ))
     return entities
 
@@ -195,8 +206,6 @@ def write_jsonl(path, entities: list[Entity]):
                 "description": ent.description,
                 "statements": [list(st) for st in ent.statements],
             }
-            if ent.template:
-                obj["template"] = ent.template
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from . import annotator, lexicon
-from .corpus import TYPE_PROPERTY_IDS, Entity, load_jsonl, read_jsonl, tokenize
+from .corpus import TYPE_PROPERTY_IDS, Entity, json_text, load_jsonl, read_jsonl, tokenize
 from .errors import CorpusError, TypedescError
 
 ROUGE_BETA = 1.2
@@ -212,11 +212,12 @@ def evaluate(predictions_path, references_path) -> dict:
     """Score a predictions JSONL ({"entity_id", "hypothesis"}) against reference entities."""
     predictions = {}
     for lineno, obj in read_jsonl(predictions_path, ("entity_id", "hypothesis")):
-        entity_id = str(obj["entity_id"])
+        entity_id = json_text(obj["entity_id"], predictions_path, lineno, "entity_id")
         if entity_id in predictions:
             raise TypedescError(
                 f"{predictions_path}: line {lineno}: duplicate entity_id '{entity_id}'")
-        predictions[entity_id] = str(obj["hypothesis"])
+        predictions[entity_id] = json_text(obj["hypothesis"], predictions_path, lineno,
+                                           "hypothesis")
     if not predictions:
         raise TypedescError(f"{predictions_path}: no predictions found")
     entities = load_jsonl(references_path)

@@ -70,8 +70,7 @@ def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet, params: dict) ->
         embedding_lookup(params["enc.word_emb"], [vocabs.value_id(t.word) for t in tokens]),
         embedding_lookup(params["enc.prop_emb"],
                          [vocabs.property_id(t.property) for t in tokens]),
-        embedding_lookup(params["enc.pos_emb"],
-                         [min(t.position, vocabs.position_count - 1) for t in tokens]),
+        embedding_lookup(params["enc.pos_emb"], [t.position for t in tokens]),
     ], axis=1)
     states = gru_sequence(xs, zeros(gru.uz.data.shape[0]), gru)
     return EncoderOutput(states=states, final=embedding_lookup(states, len(tokens) - 1))

@@ -201,25 +201,26 @@ def description_step(y_prev_id: int, s_prev: Tensor, enc: EncoderOutput,
 
 def description_nll(enc: EncoderOutput, template_enc: EncoderOutput,
                     target_tokens: list[str], extvocab: ExtendedVocab,
-                    vocabs: VocabSet, params: dict) -> Tensor:
+                    params: dict) -> Tensor:
     """Teacher-forced negative log-likelihood of the description, eos appended.
 
     A gold word that is both generatable and copyable is scored by the summed
     mass of both paths, so the switch is trained by marginalizing over them.
     """
     s = init_description_state(enc.final, template_enc.final, params)
-    prev = vocabs.target_vocab[BOS]
+    prev = extvocab.vocabs.target_vocab[BOS]
     losses = []
     for tok in list(target_tokens) + [EOS]:
         dist, s = description_step(prev, s, enc, template_enc, extvocab, params)
-        losses.append(cross_entropy(dist, extvocab.ext_id(tok), from_logits=False))
-        prev = vocabs.target_id(tok)
+        target = extvocab.ext_id(tok)
+        losses.append(cross_entropy(dist, target, from_logits=False))
+        prev = extvocab.decoder_input_id(target)
     return diffcore.add_n(losses)
 
 
 def decode_description(enc: EncoderOutput, template_enc: EncoderOutput,
-                       extvocab: ExtendedVocab, vocabs: VocabSet, params: dict,
-                       max_len: int, mode: str, beam_width: int) -> list[str]:
+                       extvocab: ExtendedVocab, params: dict, max_len: int, mode: str,
+                       beam_width: int) -> list[str]:
     """Decode a description, copied OOV words verbatim; tapes unless under no_grad."""
 
     def step(prev_ext_id, state):
@@ -227,7 +228,7 @@ def decode_description(enc: EncoderOutput, template_enc: EncoderOutput,
         dist, s_next = description_step(prev, state, enc, template_enc, extvocab, params)
         return np.log(dist.data + 1e-300), s_next
 
+    target_vocab = extvocab.vocabs.target_vocab
     ids = search.decode(step, init_description_state(enc.final, template_enc.final, params),
-                        vocabs.target_vocab[BOS], vocabs.target_vocab[EOS], max_len, mode,
-                        beam_width)
+                        target_vocab[BOS], target_vocab[EOS], max_len, mode, beam_width)
     return [extvocab.word(i) for i in ids]

@@ -54,13 +54,14 @@ class TwoStageModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def gold_template(self, entity: Entity) -> list[str]:
-        if entity.template:
-            return entity.template.split()
         return annotator.annotate(entity.description_tokens).template
 
     def encode_entity(self, entity: Entity):
         source = reconstruct_infobox(entity, self.vocabs.position_count)
-        return source, stage1.encode_infobox(source, self.vocabs, self.params)
+        try:
+            return source, stage1.encode_infobox(source, self.vocabs, self.params)
+        except TypedescError as exc:
+            raise TypedescError(f"entity {entity.entity_id}: {exc}") from None
 
     def joint_loss(self, entity: Entity) -> Tensor:
         """L1 (template) + L2 (description), both teacher forced on gold targets."""
@@ -72,7 +73,7 @@ class TwoStageModel:
         template_enc = stage2.encode_template(template, self.vocabs, self.params)
         extvocab = stage2.ExtendedVocab(self.vocabs, source)
         loss2 = stage2.description_nll(enc, template_enc, entity.description_tokens,
-                                       extvocab, self.vocabs, self.params)
+                                       extvocab, self.params)
         total = loss1 + loss2
         if not np.isfinite(total.data):
             raise TrainingDiverged(
@@ -95,9 +96,8 @@ class TwoStageModel:
                 template = [HED]  # stage 2 needs a non-empty template to condition on
             template_enc = stage2.encode_template(template, self.vocabs, self.params)
             extvocab = stage2.ExtendedVocab(self.vocabs, source)
-            description = stage2.decode_description(enc, template_enc, extvocab, self.vocabs,
-                                                    self.params, max_description_len, mode,
-                                                    beam_width)
+            description = stage2.decode_description(enc, template_enc, extvocab, self.params,
+                                                    max_description_len, mode, beam_width)
         return template, description
 
 

@@ -1,12 +1,21 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import synthdata
 from typedesc.annotator import (HEAD, MODIFIER, annotate, apply_template,
                                 extract_heads)
+from typedesc.corpus import tokenize
 from typedesc.errors import AnnotationError
-from typedesc.lexicon import HED, MOD, STOPWORDS, is_function
+from typedesc.lexicon import HED, MOD, PUNCTUATION_TOKENS, STOPWORDS, is_function
+
+# arbitrary description text: function words, punctuation, content words and junk
+DESCRIPTION_TEXT = st.lists(st.one_of(
+    st.sampled_from(sorted(STOPWORDS)), st.sampled_from(sorted(PUNCTUATION_TOKENS)),
+    st.sampled_from(["street", "Paris", "gothic", "2014", "lake", "singer"]),
+    st.text(alphabet="ab1,.() -", max_size=4)), min_size=1, max_size=8).map(" ".join)
 
 
 class TestAnnotate:
@@ -119,6 +128,19 @@ class TestProperties:
             ann = annotate(tokens)
             if any(not is_function(t) for t in tokens):
                 assert ann.heads
+
+    @settings(derandomize=True, database=None, max_examples=500)
+    @given(DESCRIPTION_TEXT)
+    def test_round_trip_on_tokenized_text(self, text):
+        tokens = tokenize(text)
+        assume(tokens)
+        ann = annotate(tokens)
+        assert len(ann.template) == len(tokens)
+        assert apply_template(ann.template, ann.heads, ann.modifiers) == tokens
+        for src, tmpl in zip(tokens, ann.template):
+            assert tmpl in (HED, MOD) or (tmpl == src and is_function(src))
+        if any(not is_function(t) for t in tokens):
+            assert ann.heads
 
     def test_deterministic(self):
         tokens = "gothic church in paris , france".split()

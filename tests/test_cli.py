@@ -41,8 +41,7 @@ class TestPrepare:
         valid = (out / "valid.jsonl").read_text().splitlines()
         test = (out / "test.jsonl").read_text().splitlines()
         assert (len(train), len(valid), len(test)) == (16, 2, 2)
-        first = json.loads(train[0])
-        assert "template" in first
+        assert not any("template" in json.loads(line) for line in train + valid + test)
         for name in ("value_vocab.txt", "property_vocab.txt", "target_vocab.txt",
                      "template_vocab.txt", "config.txt"):
             assert (out / name).exists()
@@ -170,6 +169,9 @@ def pipeline(raw_corpus, tmp_path_factory):
     return data_dir, run_dir
 
 
+ONE_SMALL_EPOCH = "d_word = 8\nd_prop = 4\nd_pos = 4\nmax_epochs = 1\n"
+
+
 class TestTrainCommand:
     def test_outputs_exist(self, pipeline):
         _, run_dir = pipeline
@@ -182,6 +184,39 @@ class TestTrainCommand:
         text = (run_dir / "config.txt").read_text()
         assert "d_h = 12" in text
         assert "max_epochs = 2" in text
+
+    def test_failure_keeps_earlier_run(self, pipeline, tmp_path, capsys):
+        data_dir, _ = pipeline
+        run_dir = tmp_path / "run"
+        small, big = tmp_path / "small.cfg", tmp_path / "big.cfg"
+        small.write_text(f"d_h = 8\n{ONE_SMALL_EPOCH}", encoding="utf-8")
+        big.write_text(f"d_h = 16\n{ONE_SMALL_EPOCH}", encoding="utf-8")
+        assert run("train", "--data-dir", str(data_dir), "--config", str(small),
+                   "--out-dir", str(run_dir)) == 0
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        blank_data = tmp_path / "data"
+        shutil.copytree(data_dir, blank_data)
+        blank = Entity("Qblank", "blank", "street", [("p1", "named after", "")] * 5)
+        write_jsonl(blank_data / "train.jsonl", [blank])
+        capsys.readouterr()
+        assert run("train", "--data-dir", str(blank_data), "--config", str(big),
+                   "--out-dir", str(run_dir)) == 1
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and "Qblank" in err
+        assert run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                   "--input", str(data_dir / "test.jsonl"),
+                   "--out", str(tmp_path / "preds.jsonl")) == 0
+
+    def test_test_split_is_not_read(self, pipeline, tmp_path):
+        data_dir, _ = pipeline
+        no_test = tmp_path / "data"
+        shutil.copytree(data_dir, no_test)
+        (no_test / "test.jsonl").unlink()
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(f"d_h = 8\n{ONE_SMALL_EPOCH}", encoding="utf-8")
+        assert run("train", "--data-dir", str(no_test), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "run")) == 0
 
     def test_unknown_config_key_rejected(self, raw_corpus, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -315,6 +350,7 @@ class TestGenerateCommand:
         assert run(*generate, str(tmp_path / "bad.jsonl")) == 1
         err = capsys.readouterr().err
         assert err.count(cli.ERROR_PREFIX) == 1 and "empty infobox" in err
+        assert "Qblank" in err
         assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "good.jsonl",
                                                               "preds.jsonl"]

@@ -70,3 +70,10 @@ def test_load_config_checks_ranges(tmp_path):
     path.write_text("lr = -1\n", encoding="utf-8")
     with pytest.raises(TypedescError, match="lr must be >= 0.0"):
         load_config(path)
+
+
+def test_repeated_key_names_both_lines(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("lr = 0.5\nd_h = 8\nlr = 0.01\n", encoding="utf-8")
+    with pytest.raises(TypedescError, match=r"config\.txt: line 3: key 'lr' repeats line 1"):
+        load_config(path)

@@ -89,6 +89,20 @@ class TestLoadJsonl:
         with pytest.raises(CorpusError, match="description"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("entity_id", None), ("label", True), ("description", None),
+        ("description", ["fr", "x"]), ("statements", {"p": 1})],
+        ids=["entity_id-null", "label-boolean", "description-null", "description-array",
+             "statement-object"])
+    def test_non_text_field_rejected(self, tmp_path, key, value):
+        good = {"entity_id": "Q1", "label": "x", "description": "d",
+                "statements": [["p1", "p", "v"]]}
+        bad = {**good, key: [["p1", "p", value]] if key == "statements" else value}
+        path = tmp_path / "bad.jsonl"
+        write_lines(path, [json.dumps(good), json.dumps(bad)])
+        with pytest.raises(CorpusError, match=rf"bad\.jsonl: line 2: '{key}' must be a string"):
+            load_jsonl(path)
+
     def test_entity_without_statements_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_lines(path, ['{"entity_id": "Q1", "label": "x", "description": "d", '

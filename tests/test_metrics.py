@@ -236,6 +236,19 @@ class TestEvaluate:
         with pytest.raises(TypedescError, match="line 2: duplicate entity_id '5'"):
             evaluate(preds, refs)
 
+    def test_null_hypothesis_rejected(self, tmp_path):
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text(json.dumps({
+            "entity_id": "Q1", "label": "x", "description": "none",
+            "statements": [["p31", "instance of", "none"]],
+        }) + "\n", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"entity_id": "Q1", "hypothesis": None}) + "\n",
+                         encoding="utf-8")
+        with pytest.raises(TypedescError,
+                           match=r"preds\.jsonl: line 1: 'hypothesis' must be a string"):
+            evaluate(preds, refs)
+
     def test_empty_predictions_rejected(self, tmp_path):
         refs = tmp_path / "refs.jsonl"
         refs.write_text("", encoding="utf-8")

@@ -258,7 +258,7 @@ class TestDecodeDescription:
         source, enc = model.encode_entity(ent)
         template_enc = stage2.encode_template([HED], vocabs, model.params)
         ext = stage2.ExtendedVocab(vocabs, source)
-        out = stage2.decode_description(enc, template_enc, ext, vocabs, model.params,
+        out = stage2.decode_description(enc, template_enc, ext, model.params,
                                         1, "greedy", 1)
         assert len(out) <= 1
 
@@ -267,8 +267,8 @@ class TestDecodeDescription:
         source, enc = model.encode_entity(ent)
         template_enc = stage2.encode_template([HED, "in", MOD], vocabs, model.params)
         ext = stage2.ExtendedVocab(vocabs, source)
-        greedy = stage2.decode_description(enc, template_enc, ext, vocabs, model.params,
+        greedy = stage2.decode_description(enc, template_enc, ext, model.params,
                                            6, "greedy", 1)
-        beamed = stage2.decode_description(enc, template_enc, ext, vocabs, model.params,
+        beamed = stage2.decode_description(enc, template_enc, ext, model.params,
                                            6, "beam", 1)
         assert greedy == beamed

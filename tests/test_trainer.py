@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import synthdata
 from typedesc import diffcore as dc
 from typedesc import stage1, stage2, trainer
-from typedesc.corpus import DatasetSplit
+from typedesc.corpus import DatasetSplit, load_jsonl, write_jsonl
 from typedesc.errors import TrainingDiverged
 from typedesc.lexicon import EOS
 from typedesc.trainer import TrainConfig, TwoStageModel, train
@@ -30,7 +31,7 @@ class TestJointLoss:
         template_enc = stage2.encode_template(template, vocabs, model.params)
         ext = stage2.ExtendedVocab(vocabs, source)
         l2 = stage2.description_nll(enc, template_enc, ent.description_tokens, ext,
-                                    vocabs, model.params).item()
+                                    model.params).item()
         assert abs(total - (l1 + l2)) < 1e-12
 
     def test_zero_params_give_uniform_nll(self, corpus):
@@ -54,8 +55,7 @@ class TestJointLoss:
         in_vocab = [t for t in gold + [EOS]
                     if t in vocabs.target_vocab and ext.ext_id(t) < ext.base_size]
         assert len(in_vocab) == len(gold) + 1  # corpus words all in target vocab
-        l2 = stage2.description_nll(enc, template_enc, gold, ext, vocabs,
-                                    model.params).item()
+        l2 = stage2.description_nll(enc, template_enc, gold, ext, model.params).item()
         n = len(vocabs.target_vocab)
         per_token = []
         for tok in gold + [EOS]:
@@ -94,6 +94,18 @@ class TestJointLoss:
             prev = vocabs.target_id(tok)
 
         assert abs(model.joint_loss(ent).item() - total) < 1e-9
+
+    def test_stored_template_key_is_ignored(self, corpus, tmp_path):
+        # the annotator is the one source of gold templates
+        ents, vocabs, dims = corpus
+        model = TwoStageModel.build(dims, vocabs, seed=1)
+        plain = tmp_path / "plain.jsonl"
+        write_jsonl(plain, ents[:1])
+        keyed = tmp_path / "keyed.jsonl"
+        obj = {**json.loads(plain.read_text(encoding="utf-8")), "template": "$mod$ of the $hed$"}
+        keyed.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        losses = [model.joint_loss(load_jsonl(path)[0]).item() for path in (plain, keyed)]
+        assert losses[0] == losses[1]
 
     def test_finite_at_initialization(self, corpus):
         ents, vocabs, dims = corpus
