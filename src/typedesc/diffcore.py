@@ -139,11 +139,15 @@ def _make(data, parents, backprop) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g):
+def _accum(t: Tensor, g, index=None):
+    """Add g into t's gradient, or into its entries at `index` (repeats add up)."""
     if t.requires_grad:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
-        t.grad += g
+        if index is None:
+            t.grad += g
+        else:
+            np.add.at(t.grad, index, g)
 
 
 # While a backward runs, the weight-gradient rows sent to each leaf (a
@@ -177,43 +181,30 @@ def _unbroadcast(g, shape):
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _binary(name: str, fn, a: Tensor, b: Tensor, grads) -> Tensor:
+    """Broadcasting fn(a, b); grads(g) gives the gradients of a and b before un-broadcasting."""
     try:
-        data = a.data + b.data
+        data = fn(a.data, b.data)
     except ValueError:
-        raise ShapeMismatch(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+        raise ShapeMismatch(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
 
     def backprop(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        for t, gt in zip((a, b), grads(g)):
+            _accum(t, _unbroadcast(gt, t.data.shape))
 
     return _make(data, (a, b), backprop)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _binary("add", np.add, a, b, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeMismatch(f"sub: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def backprop(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), backprop)
+    return _binary("sub", np.subtract, a, b, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeMismatch(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def backprop(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backprop)
+    return _binary("mul", np.multiply, a, b, lambda g: (g * b.data, g * a.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -271,8 +262,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def reduce_sum(a: Tensor) -> Tensor:
-    return _make(a.data.sum(), (a,),
-                 lambda g: _accum(a, np.broadcast_to(g, a.data.shape).copy()))
+    return _make(a.data.sum(), (a,), lambda g: _accum(a, g))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -286,23 +276,25 @@ def softmax(a: Tensor) -> Tensor:
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Row(s) of a matrix such as an embedding table; an int gives a vector, a list a matrix."""
     idx = np.asarray(ids)
-
-    def backprop(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
-
-    return _make(table.data[idx], (table,), backprop)
+    return _make(table.data[idx], (table,), lambda g: _accum(table, g, idx))
 
 
-def scatter_add(src: Tensor, index, size: int) -> Tensor:
-    """out[j] = sum of src[i] over positions i with index[i] == j."""
+def scatter_add(base: Tensor, src: Tensor, index, size: int) -> Tensor:
+    """out[j] = base[j] (0 past base's end) + the sum of src[i] over i with index[i] == j."""
     idx = np.asarray(index)
-    if src.data.ndim != 1 or idx.shape != src.data.shape:
-        raise ShapeMismatch(f"scatter_add: src shape {src.shape} vs index shape {idx.shape}")
+    if base.data.ndim != 1 or base.shape[0] > size or src.data.ndim != 1 or idx.shape != src.shape:
+        raise ShapeMismatch(f"scatter_add: base {base.shape} into size {size}, src {src.shape}, "
+                            f"index {idx.shape}")
+    n = base.data.shape[0]
     data = np.zeros(size, dtype=np.float64)
     np.add.at(data, idx, src.data)
-    return _make(data, (src,), lambda g: _accum(src, g[idx]))
+    data[:n] += base.data
+
+    def backprop(g):
+        _accum(base, g[:n])
+        _accum(src, g[idx])
+
+    return _make(data, (base, src), backprop)
 
 
 def add_n(parts: list[Tensor]) -> Tensor:
@@ -344,9 +336,7 @@ def cross_entropy(dist: Tensor, target: int, from_logits: bool = True) -> Tensor
             nll = -np.log(p_t)
 
         def backprop(g):
-            if dist.grad is None:
-                dist.grad = np.zeros_like(dist.data)
-            dist.grad[target] += -g / p_t
+            _accum(dist, -g / p_t, target)
 
     return _make(np.asarray(nll), (dist,), backprop)
 

@@ -127,7 +127,7 @@ def mod_copy(records: list[EvalRecord]) -> float:
     """Corpus ratio of hypothesis modifier words copied from the source values.
 
     Heads and stopwords are excluded; records without modifiers contribute to
-    neither count.
+    neither count. With no modifier in any hypothesis the ratio is 0.0.
     """
     copied = 0
     total = 0
@@ -139,13 +139,14 @@ def mod_copy(records: list[EvalRecord]) -> float:
             total += 1
             if is_copied(word, rec.source_values):
                 copied += 1
-    if total == 0:
-        raise TypedescError("no modifier tokens in any hypothesis")
-    return copied / total
+    return copied / total if total else 0.0
 
 
 def hed_acc(records: list[EvalRecord]) -> float:
-    """Accuracy of hypothesis head words against reference heads and KG type values."""
+    """Accuracy of hypothesis head words against reference heads and KG type values.
+
+    With no extractable head word in any hypothesis the accuracy is 0.0.
+    """
     correct = 0
     total = 0
     for rec in records:
@@ -158,9 +159,7 @@ def hed_acc(records: list[EvalRecord]) -> float:
         valid = valid | set(rec.kg_type_values)
         total += len(heads)
         correct += sum(1 for h in heads if h in valid)
-    if total == 0:
-        raise TypedescError("no extractable head words in any hypothesis")
-    return correct / total
+    return correct / total if total else 0.0
 
 
 def records_from_entities(predictions: dict[str, str], entities: list[Entity]) -> list[EvalRecord]:

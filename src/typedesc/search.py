@@ -41,6 +41,9 @@ def beam(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> lis
             any_open = True
             prev = ids[-1] if ids else bos_id
             logp, nst = step(prev, st)
+            if width > logp.shape[0]:  # a wider beam never prunes and grows as V^t
+                raise TypedescError(
+                    f"beam width {width} exceeds the {logp.shape[0]} scores of a decoding step")
             top = np.argsort(-logp, kind="stable")[:width]
             for tok in top:
                 tok = int(tok)

@@ -131,16 +131,12 @@ def init_description_state(enc_final: Tensor, template_final: Tensor, params: di
 
 
 def context_gates(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor, params: dict):
-    """Sigmoid gates over the source and template contexts."""
-    g_x = sigmoid(matmul(params["s2.gate_x.we"], y_prev_emb)
-                  + matmul(params["s2.gate_x.us"], s_prev)
-                  + matmul(params["s2.gate_x.cc"], c_x)
-                  + params["s2.gate_x.b"])
-    g_t = sigmoid(matmul(params["s2.gate_t.we"], y_prev_emb)
-                  + matmul(params["s2.gate_t.us"], s_prev)
-                  + matmul(params["s2.gate_t.cc"], c_t)
-                  + params["s2.gate_t.b"])
-    return g_x, g_t
+    """Sigmoid gates (g_x, g_t) over the source and template contexts."""
+    return tuple(sigmoid(matmul(params[f"s2.gate_{side}.we"], y_prev_emb)
+                         + matmul(params[f"s2.gate_{side}.us"], s_prev)
+                         + matmul(params[f"s2.gate_{side}.cc"], c)
+                         + params[f"s2.gate_{side}.b"])
+                 for side, c in (("x", c_x), ("t", c_t)))
 
 
 def fuse_contexts(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor,
@@ -172,15 +168,10 @@ def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
     hidden = tanh(matmul(params["s2.switch.w1"], sc) + params["s2.switch.b1"])
     p_z = sigmoid(matmul(params["s2.switch.w2"], hidden) + params["s2.switch.b2"])  # (1,)
 
-    n_oov = extvocab.size - extvocab.base_size
-    gen_part = p_z * p_gen
-    if n_oov:
-        gen_part = concat([gen_part, zeros(n_oov)])
     copy_scores = matmul(tanh(matmul(enc_states, params["s2.copy.w"]) + params["s2.copy.b"]),
                          s_j)
     copy_probs = (1.0 - p_z) * softmax(copy_scores)
-    copy_part = scatter_add(copy_probs, extvocab.position_ids, extvocab.size)
-    return gen_part + copy_part
+    return scatter_add(p_z * p_gen, copy_probs, extvocab.position_ids, extvocab.size)
 
 
 def description_step(y_prev_id: int, s_prev: Tensor, enc: EncoderOutput,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import annotator, stage1, stage2
-from .corpus import DatasetSplit, Entity, VocabSet, reconstruct_infobox
+from .corpus import DatasetSplit, Entity, SourceToken, VocabSet, reconstruct_infobox
 from .diffcore import (Adam, Tensor, add_n, atomic_write, clip_gradients, no_grad,
                        save_checkpoint)
 from .errors import TrainingDiverged, TypedescError
@@ -31,6 +31,17 @@ class TrainConfig:
     grad_clip_norm: float = 5.0
     validate_every: int = 1
     early_stop_patience: int = 5
+
+
+def entity_source(entity: Entity, vocabs: VocabSet, described: bool) -> list[SourceToken]:
+    """The entity's infobox tokens. One error names an entity whose values hold no word
+    or, when it must be `described` (to train or validate on it), whose description is blank."""
+    if described and not entity.description.strip():
+        raise TypedescError(f"entity {entity.entity_id} has no description")
+    source = reconstruct_infobox(entity, vocabs.position_count)
+    if not source:
+        raise TypedescError(f"entity {entity.entity_id}: cannot encode an empty infobox")
+    return source
 
 
 class TwoStageModel:
@@ -57,18 +68,14 @@ class TwoStageModel:
         return annotator.annotate(entity.description_tokens).template
 
     def encode_entity(self, entity: Entity):
-        source = reconstruct_infobox(entity, self.vocabs.position_count)
-        try:
-            return source, stage1.encode_infobox(source, self.vocabs, self.params)
-        except TypedescError as exc:
-            raise TypedescError(f"entity {entity.entity_id}: {exc}") from None
+        source = entity_source(entity, self.vocabs, described=False)
+        return source, stage1.encode_infobox(source, self.vocabs, self.params)
 
     def joint_loss(self, entity: Entity) -> Tensor:
         """L1 (template) + L2 (description), both teacher forced on gold targets."""
-        if not entity.description.strip():
-            raise TypedescError(f"entity {entity.entity_id} has no description")
+        source = entity_source(entity, self.vocabs, described=True)
         template = self.gold_template(entity)
-        source, enc = self.encode_entity(entity)
+        enc = stage1.encode_infobox(source, self.vocabs, self.params)
         loss1 = stage1.template_nll(enc, template, self.vocabs, self.params)
         template_enc = stage2.encode_template(template, self.vocabs, self.params)
         extvocab = stage2.ExtendedVocab(self.vocabs, source)
@@ -131,6 +138,12 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
     """
     if not data.train:
         raise TypedescError("training split is empty")
+    for split, entities in (("train", data.train), ("valid", data.valid)):
+        for entity in entities:  # before any step, so no epoch is lost to a bad entity
+            try:
+                entity_source(entity, vocabs, described=True)
+            except TypedescError as exc:
+                raise TypedescError(f"{split} split: {exc}") from None
     model = TwoStageModel.build(dims, vocabs, config.seed)
     optimizer = Adam(model.params, config.lr, config.beta1, config.beta2, config.eps)
     order_rng = random.Random(config.seed)

@@ -282,6 +282,20 @@ class TestGenerateCommand:
                    "--input", str(data_dir / "test.jsonl"), "--out", str(out),
                    "--mode", "beam:2") == 0
 
+    def test_beam_wider_than_the_vocabulary_keeps_earlier_out(self, pipeline, tmp_path, capsys):
+        data_dir, run_dir = pipeline
+        out = tmp_path / "preds.jsonl"
+        generate = ["generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                    "--input", str(data_dir / "test.jsonl"), "--out", str(out), "--mode"]
+        assert run(*generate, "beam:2") == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert run(*generate, "beam:1000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(cli.ERROR_PREFIX) and len(err.splitlines()) == 1
+        assert "beam width 1000 exceeds" in err
+        assert out.read_bytes() == before
+
     def test_bad_mode_errors(self, pipeline, tmp_path, capsys):
         data_dir, run_dir = pipeline
         code = run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),

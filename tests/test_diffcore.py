@@ -49,6 +49,17 @@ class TestForwardValues:
         with pytest.raises(ShapeMismatch, match=r"\(2, 3\).*\(2, 3\)"):
             dc.matmul(a, b)
 
+    @pytest.mark.parametrize("op", [dc.add, dc.sub, dc.mul])
+    def test_elementwise_shape_mismatch_names_op_and_shapes(self, op):
+        a, b = dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros(4))
+        with pytest.raises(ShapeMismatch,
+                           match=rf"^{op.__name__}: incompatible shapes \(2, 3\) and \(4,\)$"):
+            op(a, b)
+
+    def test_scatter_add_rejects_a_base_longer_than_size(self):
+        with pytest.raises(ShapeMismatch, match=r"base \(5,\) into size 4"):
+            dc.scatter_add(dc.Tensor(np.zeros(5)), dc.Tensor(np.zeros(2)), [0, 1], 4)
+
     def test_vector_matrix_matmul_rejected(self):
         with pytest.raises(ShapeMismatch, match=r"\(3,\).*\(3, 4\)"):
             dc.matmul(dc.Tensor(np.zeros(3)), dc.Tensor(np.zeros((3, 4))))
@@ -341,11 +352,12 @@ class TestGradCheck:
         assert dc.grad_check(
             lambda: (dc.embedding_lookup(tab, [1, 1]) * probe3).sum(), [tab]) < 1e-6
 
-        s = param(rng, 5)
+        # a base shorter than size, and src positions that share an index
+        base, s = param(rng, 2), param(rng, 5)
         probe4 = dc.Tensor(rng.normal(size=4))
-        idx = np.array([0, 1, 1, 2, 0])
+        idx = np.array([0, 3, 3, 2, 0])
         assert dc.grad_check(
-            lambda: (dc.scatter_add(s, idx, 4) * probe4).sum(), [s]) < 1e-6
+            lambda: (dc.scatter_add(base, s, idx, 4) * probe4).sum(), [base, s]) < 1e-6
 
         # a Python number operand is a 0-d constant: one node, numpy's values exactly
         made = []

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import synthdata
+from typedesc.corpus import write_jsonl
 from typedesc.errors import TypedescError
 from typedesc.metrics import (EvalRecord, bleu_n, evaluate, evaluate_records, hed_acc,
                               is_copied, mod_copy, rouge_l)
@@ -108,9 +110,8 @@ class TestModCopy:
                        source=["street", "paris"], eid="Q2")]
         assert mod_copy(recs) == 1.0
 
-    def test_corpus_without_modifiers_rejected(self):
-        with pytest.raises(TypedescError):
-            mod_copy([record("human", "human", source=["human"])])
+    def test_corpus_without_modifiers_reads_zero(self):
+        assert mod_copy([record("human", "human", source=["human"])]) == 0.0
 
     def test_verbatim_modifiers_always_copied(self):
         rng = random.Random(3)
@@ -148,6 +149,9 @@ class TestHedAcc:
     def test_missing_type_values_fall_back_to_reference(self):
         recs = [record("village in france", "village of france")]
         assert hed_acc(recs) == 1.0
+
+    def test_corpus_without_heads_reads_zero(self):
+        assert hed_acc([record("", "street in paris", types=["street"])]) == 0.0
 
 
 class TestEvaluate:
@@ -207,6 +211,22 @@ class TestEvaluate:
         assert report["rougeL"] == 100.0
         assert report["mod_copy"] == 1.0
         assert report["hed_acc"] == 1.0
+
+    @pytest.mark.parametrize("hypothesis", ["castle", ""])
+    def test_every_metric_without_modifiers_or_heads(self, tmp_path, hypothesis):
+        # one head word and no modifier in every hypothesis, or no word at all
+        ents = synthdata.make_corpus(n=4, seed=1)
+        refs, preds = tmp_path / "refs.jsonl", tmp_path / "preds.jsonl"
+        write_jsonl(refs, ents)
+        preds.write_text("".join(json.dumps({"entity_id": e.entity_id, "hypothesis": hypothesis})
+                                 + "\n" for e in ents), encoding="utf-8")
+        report = evaluate(preds, refs)
+        assert set(report) == {"bleu1", "bleu2", "rougeL", "mod_copy", "hed_acc"}
+        assert report["mod_copy"] == 0.0
+        assert all(0.0 <= report[k] <= 100.0 for k in ("bleu1", "bleu2", "rougeL"))
+        assert 0.0 <= report["hed_acc"] <= 1.0
+        if not hypothesis:
+            assert set(report.values()) == {0.0}
 
     def test_id_mismatch_lists_ids(self, tmp_path):
         refs = tmp_path / "refs.jsonl"

@@ -61,6 +61,12 @@ class TestBeam:
         with pytest.raises(TypedescError):
             search.beam(step_fn([[1.0, 0.0, 0.0]]), 0, 0, EOS, 3, 0)
 
+    def test_width_beyond_the_step_scores_rejected(self):
+        table = [[0.5, 0.3, 0.2]]
+        assert search.beam(step_fn(table), 0, 0, EOS, 3, 3)
+        with pytest.raises(TypedescError, match="beam width 4 exceeds the 3 scores"):
+            search.beam(step_fn(table), 0, 0, EOS, 3, 4)
+
 
 class TestDispatch:
     def test_parse_mode(self):

@@ -7,8 +7,8 @@ import pytest
 import synthdata
 from typedesc import diffcore as dc
 from typedesc import stage1, stage2, trainer
-from typedesc.corpus import DatasetSplit, load_jsonl, write_jsonl
-from typedesc.errors import TrainingDiverged
+from typedesc.corpus import DatasetSplit, Entity, load_jsonl, write_jsonl
+from typedesc.errors import TrainingDiverged, TypedescError
 from typedesc.lexicon import EOS
 from typedesc.trainer import TrainConfig, TwoStageModel, train
 
@@ -177,6 +177,23 @@ class TestTrain:
         fresh = TwoStageModel.build(dims, vocabs, seed=1)
         for name, p in result.model.params.items():
             np.testing.assert_array_equal(p.data, fresh.params[name].data)
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    @pytest.mark.parametrize("description, value, problem", [
+        ("   ", "paris", "has no description"),
+        ("street", "  ", "cannot encode an empty infobox")])
+    def test_degenerate_entity_stops_before_the_first_step(self, corpus, tmp_path, monkeypatch,
+                                                          split, description, value, problem):
+        ents, vocabs, dims = corpus
+        bad = Entity("S0", "bad", description, [("p1", "located in", value)])
+        data = DatasetSplit(train=ents[:2] + [bad] * (split == "train"),
+                            valid=ents[2:3] + [bad] * (split == "valid"), test=[])
+        steps = []
+        monkeypatch.setattr(dc.Adam, "step", lambda self: steps.append(1))
+        out_dir = tmp_path / "run"
+        with pytest.raises(TypedescError, match=f"^{split} split: entity S0.*{problem}$"):
+            train(data, TrainConfig(max_epochs=1, batch_size=2), dims, vocabs, out_dir)
+        assert steps == [] and not out_dir.exists()
 
     def test_divergence_aborts_with_checkpoint(self, corpus, tmp_path):
         ents, vocabs, dims = corpus
