@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,13 +60,8 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    data = Path(args.input).read_bytes() if args.input else sys.stdin.buffer.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise corpus.not_utf8(args.input or "<stdin>", data) from None
     rows = []
-    for line in io.StringIO(text, newline=None):  # universal newlines, as in text mode
+    for line in corpus.read_lines(args.input):
         tokens = corpus.tokenize(line)
         if not tokens:
             continue
@@ -101,8 +94,7 @@ def cmd_train(args) -> int:
 
     def write_run_files():  # only next to a checkpoint that train() has just written
         save_config(cfg, out_dir / "config.txt")
-        for filename in VOCAB_FILES.values():
-            shutil.copyfile(data_dir / filename, out_dir / filename)
+        _write_vocab_files(out_dir, vocabs)
 
     try:
         result = train(data, cfg.train_config(), cfg.dims(), vocabs, out_dir=out_dir)

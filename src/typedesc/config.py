@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
-from .corpus import RESERVED_WORDS, not_utf8
+from .corpus import RESERVED_WORDS, read_lines
+from .diffcore import atomic_write
 from .errors import TypedescError
 from .stage1 import MAX_TEMPLATE_LEN, ModelDims
 from .stage2 import MAX_DESCRIPTION_LEN
@@ -68,12 +68,8 @@ class RunConfig(ModelDims, TrainConfig):
 def load_config(path) -> RunConfig:
     """Parse key=value lines over the defaults; unknown or repeated keys and bad values fail."""
     casts = {f.name: (int if f.default.__class__ is int else float) for f in fields(RunConfig)}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
     values, first = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -97,5 +93,5 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path):
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write("".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(RunConfig)))

@@ -5,10 +5,12 @@ from __future__ import annotations
 import collections
 import json
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import lexicon
+from .diffcore import atomic_write
 from .errors import CorpusError
 from .lexicon import BOS, EOS, HED, MOD, PAD, UNK
 
@@ -123,37 +125,37 @@ class DatasetSplit:
     test: list[Entity]
 
 
-def not_utf8(name, data: bytes | None = None) -> CorpusError:
-    """The one error for input that is not UTF-8; `data` defaults to the bytes of file `name`."""
-    data = Path(name).read_bytes() if data is None else data
+def read_lines(path) -> list[str]:
+    """The lines of UTF-8 file `path`, or of standard input when it is None, without endings.
+
+    The bytes are read and decoded once. A line ends at LF, CR LF or CR, as in text mode.
+    """
+    data = sys.stdin.buffer.read() if path is None else Path(path).read_bytes()
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # UTF-8 holds CR/LF only as themselves
     try:
-        data.decode("utf-8")
+        lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        return CorpusError(f"{name}: line {line}: not UTF-8 (byte 0x{data[exc.start]:02x})")
-    return CorpusError(f"{name}: not UTF-8")  # the file changed since it failed to decode
+        raise CorpusError(f"{'<stdin>' if path is None else path}: line {line}: "
+                          f"not UTF-8 (byte 0x{data[exc.start]:02x})") from None
+    return lines[:-1] if lines[-1] == "" else lines  # a final line ending starts no line
 
 
 def read_jsonl(path, keys):
     """(line number, object) for each non-blank line of a JSONL file; each must hold `keys`."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(
-                        f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(obj, dict):
-                    raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
-                for key in keys:
-                    if key not in obj:
-                        raise CorpusError(f"{path}: line {lineno}: missing key '{key}'")
-                yield lineno, obj
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
+        for key in keys:
+            if key not in obj:
+                raise CorpusError(f"{path}: line {lineno}: missing key '{key}'")
+        yield lineno, obj
 
 
 _JSON_KINDS = {type(None): "null", bool: "true/false", list: "an array", dict: "an object"}
@@ -198,7 +200,7 @@ def load_jsonl(path) -> list[Entity]:
 
 
 def write_jsonl(path, entities: list[Entity]):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for ent in entities:
             obj = {
                 "entity_id": ent.entity_id,
@@ -294,15 +296,12 @@ def split_dataset(entities: list[Entity], seed: int) -> DatasetSplit:
 
 def write_vocab_file(path, vocab: dict[str, int]):
     """One token per line; the line number is the id."""
-    itos = _itos(vocab)
-    Path(path).write_text("\n".join(itos) + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write("\n".join(_itos(vocab)) + "\n")
 
 
 def read_vocab_file(path) -> dict[str, int]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    lines = read_lines(path)
     vocab = {token: i for i, token in enumerate(lines)}
     if len(vocab) != len(lines) or not all(map(str.strip, lines)):  # name the first bad line
         first = {}

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import TypedescError
 
+LOG_FLOOR = 1e-300  # added to a probability before its log, so that a zero scores finitely
+
 
 def greedy(step, state, bos_id: int, eos_id: int, max_len: int) -> list[int]:
     ids = []
@@ -27,8 +29,7 @@ def greedy(step, state, bos_id: int, eos_id: int, max_len: int) -> list[int]:
 
 def beam(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> list[int]:
     """Prune by cumulative log-probability, pick the final hypothesis by mean."""
-    if width < 1:
-        raise TypedescError(f"beam width must be >= 1, got {width}")
+    _check_width(width)
     # hypothesis: (ids, cumulative logp, state, finished)
     beams = [([], 0.0, state, False)]
     for _ in range(max_len):
@@ -59,15 +60,22 @@ def beam(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> lis
     return list(best[0])
 
 
+def _check_width(width: int) -> int:
+    if width < 1:
+        raise TypedescError(f"beam width must be >= 1, got {width}")
+    return width
+
+
 def parse_mode(text: str) -> tuple[str, int]:
-    """`greedy` or `beam:<k>` as (mode, beam width)."""
+    """`greedy` or `beam:<k>` as (mode, beam width), k >= 1."""
     if text == "greedy":
         return "greedy", 1
     if text.startswith("beam:"):
         try:
-            return "beam", int(text.split(":", 1)[1])
+            width = int(text.split(":", 1)[1])
         except ValueError:
             raise TypedescError(f"bad beam width in mode '{text}'") from None
+        return "beam", _check_width(width)
     raise TypedescError(f"unknown mode '{text}' (expected greedy or beam:<k>)")
 
 

@@ -127,7 +127,7 @@ def generate_template(enc: EncoderOutput, vocabs: VocabSet, params: dict, max_le
 
     def step(prev_id, state):
         probs, s_next = decode_template_step(prev_id, state, enc, params)
-        return np.log(probs.data + 1e-300), s_next
+        return np.log(probs.data + search.LOG_FLOOR), s_next
 
     ids = search.decode(step, init_decoder_state(enc.final, params),
                         vocabs.template_vocab[BOS], vocabs.template_vocab[EOS], max_len,

@@ -217,7 +217,7 @@ def decode_description(enc: EncoderOutput, template_enc: EncoderOutput,
     def step(prev_ext_id, state):
         prev = extvocab.decoder_input_id(prev_ext_id)
         dist, s_next = description_step(prev, state, enc, template_enc, extvocab, params)
-        return np.log(dist.data + 1e-300), s_next
+        return np.log(dist.data + search.LOG_FLOOR), s_next
 
     target_vocab = extvocab.vocabs.target_vocab
     ids = search.decode(step, init_description_state(enc.final, template_enc.final, params),

@@ -11,7 +11,9 @@ import pytest
 import synthdata
 from typedesc import cli, corpus
 from typedesc import diffcore as dc
+from typedesc.config import load_config
 from typedesc.corpus import Entity, write_jsonl
+from typedesc.errors import TypedescError
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +155,49 @@ def test_undecodable_input_names_the_file_and_line(pipeline, tmp_path, capsys, m
     assert capsys.readouterr().err.startswith(f"{cli.ERROR_PREFIX} <stdin>: line 2:")
 
 
+THREE_LINES = {  # three lines that each reader accepts
+    "load_jsonl": [json.dumps({"entity_id": f"Q{i}", "label": "x", "description": "street",
+                               "statements": [["p1", "p", f"v{i}"]]}) for i in range(3)],
+    "read_vocab_file": ["<pad>", "<unk>", "street"],
+    "load_config": ["lr = 0.5", "# d_h = 4", "d_h = 8"],
+    "annotate": ["street in Paris", "human", "lake in France"],
+}
+API_READERS = {"load_jsonl": corpus.load_jsonl, "read_vocab_file": corpus.read_vocab_file,
+               "load_config": load_config}
+
+
+@pytest.mark.parametrize("reader,source", [("load_jsonl", "file"), ("read_vocab_file", "file"),
+                                           ("load_config", "file"), ("annotate", "file"),
+                                           ("annotate", "stdin")])
+def test_every_text_input_reads_alike(reader, source, tmp_path, capsys, monkeypatch):
+    """LF, CR LF and CR endings read the same; a bad byte on line 3 is one error naming it."""
+    path = tmp_path / "input.txt"
+
+    def read(data: bytes):  # ("ok", what was read) or ("error", the one error message)
+        path.write_bytes(data)
+        if reader != "annotate":
+            try:
+                return "ok", API_READERS[reader](path)
+            except TypedescError as exc:
+                return "error", str(exc)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code = run("annotate", *(("--input", str(path)) if source == "file" else ()))
+        out, err = capsys.readouterr()
+        if code == 0:
+            return "ok", out
+        assert len(err.splitlines()) == 1
+        return "error", err.removeprefix(f"{cli.ERROR_PREFIX} ")
+
+    lines = [line.encode() for line in THREE_LINES[reader]]
+    good = read(b"\n".join(lines) + b"\n")
+    assert good[0] == "ok"
+    name = "<stdin>" if source == "stdin" else str(path)
+    for end in (b"\n", b"\r\n", b"\r"):
+        assert read(end.join(lines) + end) == good
+        kind, message = read(end.join(lines[:2] + [b"\xff" + lines[2]]) + end)
+        assert kind == "error" and message.startswith(f"{name}: line 3: not UTF-8 (byte 0xff)")
+
+
 @pytest.fixture(scope="module")
 def pipeline(raw_corpus, tmp_path_factory):
     """prepare + short train, shared across generate/evaluate tests."""
@@ -206,6 +251,18 @@ class TestTrainCommand:
         assert err.count(cli.ERROR_PREFIX) == 1 and "Qblank" in err
         assert run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                    "--input", str(data_dir / "test.jsonl"),
+                   "--out", str(tmp_path / "preds.jsonl")) == 0
+
+    def test_out_dir_may_be_the_data_dir(self, pipeline, tmp_path):
+        data_dir, _ = pipeline
+        both = tmp_path / "data"
+        shutil.copytree(data_dir, both)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(f"d_h = 8\n{ONE_SMALL_EPOCH}", encoding="utf-8")
+        assert run("train", "--data-dir", str(both), "--config", str(cfg),
+                   "--out-dir", str(both)) == 0
+        assert run("generate", "--checkpoint", str(both / "checkpoint.bin"),
+                   "--input", str(both / "test.jsonl"),
                    "--out", str(tmp_path / "preds.jsonl")) == 0
 
     def test_test_split_is_not_read(self, pipeline, tmp_path):
@@ -295,6 +352,17 @@ class TestGenerateCommand:
         assert err.startswith(cli.ERROR_PREFIX) and len(err.splitlines()) == 1
         assert "beam width 1000 exceeds" in err
         assert out.read_bytes() == before
+
+    def test_beam_width_below_one_keeps_earlier_out(self, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "preds.jsonl"
+        empty.write_bytes(b"")
+        out.write_text("old\n", encoding="utf-8")
+        assert run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                   "--input", str(empty), "--out", str(out), "--mode", "beam:0") == 1
+        err = capsys.readouterr().err
+        assert err == f"{cli.ERROR_PREFIX} beam width must be >= 1, got 0\n"
+        assert out.read_bytes() == b"old\n"
 
     def test_bad_mode_errors(self, pipeline, tmp_path, capsys):
         data_dir, run_dir = pipeline

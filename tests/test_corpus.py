@@ -1,14 +1,18 @@
+import ast
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import typedesc
 from typedesc.config import RunConfig
 from typedesc.corpus import (Entity, build_vocabs, filter_entities, load_jsonl,
-                             read_vocab_file, reconstruct_infobox, split_dataset, tokenize)
+                             read_vocab_file, reconstruct_infobox, split_dataset, tokenize,
+                             write_jsonl)
 from typedesc.errors import CorpusError
 from typedesc.lexicon import BOS, DETACHABLE_PUNCTUATION, EOS, HED, MOD, UNK
 from typedesc.metrics import corpus_copy_ratio
@@ -109,6 +113,53 @@ class TestLoadJsonl:
                            '"statements": []}'])
         with pytest.raises(CorpusError, match="no statements"):
             load_jsonl(path)
+
+
+def test_failed_write_jsonl_keeps_earlier_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [entity(eid=f"Q{i}") for i in range(3)])
+    before = path.read_bytes()
+    unwritable = entity(eid="Qset")
+    unwritable.statements[0] = ("p31", "instance of", {"street"})
+    with pytest.raises(TypeError):
+        write_jsonl(path, [entity(), unwritable])
+    assert path.read_bytes() == before and len(before.splitlines()) == 3
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _calls_by_function(tree):
+    """(top-level function or method name, call) for every call in a module."""
+    for top in tree.body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    yield getattr(node, "name", "<module>"), call
+
+
+def test_files_are_read_and_written_in_one_place():
+    """Only atomic_write writes a file and only corpus.read_lines decodes file text.
+
+    The exception is load_checkpoint, which decodes the parameter names in its binary file.
+    """
+    writes, decodes = [], []
+    for path in sorted(Path(typedesc.__file__).parent.glob("*.py")):
+        for func, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            where = (path.stem, func)
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            owner = getattr(getattr(call.func, "value", None), "id", None)
+            mode = (call.args[1] if len(call.args) > 1
+                    else next((k.value for k in call.keywords if k.arg == "mode"), None))
+            mode = "r" if mode is None else getattr(mode, "value", "unknown")
+            if where == ("diffcore", "atomic_write"):
+                continue
+            if (name in ("write_text", "write_bytes") or owner == "shutil"
+                    or name == "open" and not mode.startswith("r")):
+                writes.append((*where, call.lineno))
+            elif (name == "read_text" or name == "open" and mode != "rb"
+                  or name == "decode" and all(isinstance(a, ast.Constant) for a in call.args)):
+                decodes.append(where)
+    assert writes == []
+    assert [d for d in decodes if d != ("diffcore", "load_checkpoint")] == [("corpus", "read_lines")]
 
 
 class TestFilterEntities:

@@ -73,7 +73,7 @@ class TestDispatch:
         assert search.parse_mode("greedy") == ("greedy", 1)
         assert search.parse_mode("beam:4") == ("beam", 4)
 
-    @pytest.mark.parametrize("text", ["beam:", "beam:x", "magic"])
+    @pytest.mark.parametrize("text", ["beam:", "beam:x", "magic", "beam:0", "beam:-2"])
     def test_parse_mode_rejects(self, text):
         with pytest.raises(TypedescError):
             search.parse_mode(text)
