@@ -221,6 +221,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(ad @ bd, (a, b), backprop)
 
 
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """w x for a vector x, or w applied to each row of a block x, as one node.
+
+    Computed as (w x^T)^T, so a vector or a one-row block takes exactly the
+    product `matmul(w, x)` takes; the parents are (w, x), matmul's order.
+    """
+    wd, xd = w.data, x.data
+    if wd.ndim != 2 or xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
+        raise ShapeMismatch(f"linear: incompatible shapes {x.shape} and {w.shape}")
+
+    def backprop(g):
+        g2, x2 = (g, xd) if xd.ndim == 2 else (g[None], xd[None])  # a vector: one row
+        _accum_outer(w, g2, x2)
+        _accum(x, (wd.T @ g.T).T)
+
+    return _make((wd @ xd.T).T, (w, x), backprop)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatch(f"transpose expects a matrix, got shape {a.shape}")
@@ -280,19 +298,23 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def scatter_add(base: Tensor, src: Tensor, index, size: int) -> Tensor:
-    """out[j] = base[j] (0 past base's end) + the sum of src[i] over i with index[i] == j."""
+    """out[j] = base[j] (0 past base's end) + the sum of src[i] over i with index[i] == j.
+
+    base and src are vectors, or (k, V) and (k, L) blocks done row by row.
+    """
     idx = np.asarray(index)
-    if base.data.ndim != 1 or base.shape[0] > size or src.data.ndim != 1 or idx.shape != src.shape:
+    if (base.data.ndim not in (1, 2) or base.shape[-1] > size or idx.ndim != 1
+            or src.shape != base.shape[:-1] + idx.shape):
         raise ShapeMismatch(f"scatter_add: base {base.shape} into size {size}, src {src.shape}, "
                             f"index {idx.shape}")
-    n = base.data.shape[0]
-    data = np.zeros(size, dtype=np.float64)
-    np.add.at(data, idx, src.data)
-    data[:n] += base.data
+    n = base.data.shape[-1]
+    data = np.zeros(base.shape[:-1] + (size,), dtype=np.float64)
+    np.add.at(data.T, idx, src.data.T)
+    data[..., :n] += base.data
 
     def backprop(g):
-        _accum(base, g[:n])
-        _accum(src, g[idx])
+        _accum(base, g[..., :n])
+        _accum(src, g[..., idx])
 
     return _make(data, (base, src), backprop)
 
@@ -368,11 +390,11 @@ class GRUWeights(NamedTuple):
 # _gru_step_grad and _gru_param_grads, so each op is one graph node.
 
 def _gru_step(az, ar, ah, h, w: GRUWeights):
-    """h' and the values its backward needs, (z, r, r*h, hbar)."""
-    z = _sigmoid(az + w.uz.data @ h)
-    r = _sigmoid(ar + w.ur.data @ h)
+    """h' and the values its backward needs, (z, r, r*h, hbar); h is a state or a row block."""
+    z = _sigmoid(az + (w.uz.data @ h.T).T)
+    r = _sigmoid(ar + (w.ur.data @ h.T).T)
     rh = r * h
-    hbar = np.tanh(ah + w.uh.data @ rh)
+    hbar = np.tanh(ah + (w.uh.data @ rh.T).T)
     return (1.0 - z) * h + z * hbar, (z, r, rh, hbar)
 
 
@@ -403,16 +425,19 @@ def _gru_param_grads(w: GRUWeights, xs, hs, rhs, daz, dar, dah):
 
 
 def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
-    """One GRU step from input vector x and state h, as one graph node."""
+    """One GRU step from input x and state h, vectors or row blocks, as one graph node."""
     xd, hd = x.data, h.data
-    h_next, saved = _gru_step(w.wz.data @ xd + w.bz.data, w.wr.data @ xd + w.br.data,
-                              w.wh.data @ xd + w.bh.data, hd, w)
+    xt = xd.T
+    h_next, saved = _gru_step((w.wz.data @ xt).T + w.bz.data, (w.wr.data @ xt).T + w.br.data,
+                              (w.wh.data @ xt).T + w.bh.data, hd, w)
 
     def backprop(g):
         daz, dar, dah, dh = _gru_step_grad(g, hd, saved, w)
         _accum(h, dh)
-        _accum(x, _gru_param_grads(w, xd[None], hd[None], saved[2][None], daz[None],
-                                   dar[None], dah[None])[0])
+        rows = (xd, hd, saved[2], daz, dar, dah)
+        if xd.ndim == 1:  # a vector: one row
+            rows = [a[None] for a in rows]
+        _accum(x, _gru_param_grads(w, *rows).reshape(xd.shape))
 
     return _make(h_next, (x, h, *w), backprop)
 

@@ -1,8 +1,11 @@
 """Greedy and length-normalized beam decoding over a generic step function.
 
-A step function maps (previous token id, decoder state) to (log-probability
-vector, next state); the search owns sequence bookkeeping only. This module
-is the one place that parses a decoding mode and dispatches on it.
+A step function takes the previous token id of every open hypothesis and
+their decoder states, as a list, and scores all of them in one call:
+`step(prev_ids, states) -> (log-probability rows (n, V), next states as a
+list)`. Row i and state i belong to hypothesis i; greedy is the one-row
+case. The search owns sequence bookkeeping only and treats states as opaque.
+This module is the one place that parses a decoding mode and dispatches on it.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ LOG_FLOOR = 1e-300  # added to a probability before its log, so that a zero scor
 
 def greedy(step, state, bos_id: int, eos_id: int, max_len: int) -> list[int]:
     ids = []
-    prev = bos_id
+    prev, states = bos_id, [state]
     for _ in range(max_len):
-        logp, state = step(prev, state)
-        nxt = int(np.argmax(logp))
+        logp, states = step([prev], states)
+        nxt = int(np.argmax(logp[0]))
         if nxt == eos_id:
             break
         ids.append(nxt)
@@ -28,32 +31,37 @@ def greedy(step, state, bos_id: int, eos_id: int, max_len: int) -> list[int]:
 
 
 def beam(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> list[int]:
-    """Prune by cumulative log-probability, pick the final hypothesis by mean."""
+    """Prune by cumulative log-probability, pick the final hypothesis by mean.
+
+    Each search step scores every open hypothesis in one step call. Finished
+    hypotheses keep their place among the candidates; each open one adds its
+    top `width` tokens in order, and one stable sort by score follows.
+    """
     _check_width(width)
     # hypothesis: (ids, cumulative logp, state, finished)
     beams = [([], 0.0, state, False)]
     for _ in range(max_len):
+        open_beams = [h for h in beams if not h[3]]
+        if not open_beams:
+            break
+        logp, next_states = step([h[0][-1] if h[0] else bos_id for h in open_beams],
+                                 [h[2] for h in open_beams])
+        if width > logp.shape[1]:  # a wider beam never prunes and grows as V^t
+            raise TypedescError(
+                f"beam width {width} exceeds the {logp.shape[1]} scores of a decoding step")
+        tops = np.argsort(-logp, axis=1, kind="stable")[:, :width]
+        rows = iter(zip(logp, tops, next_states))
         candidates = []
-        any_open = False
         for ids, score, st, finished in beams:
             if finished:
                 candidates.append((ids, score, st, True))
                 continue
-            any_open = True
-            prev = ids[-1] if ids else bos_id
-            logp, nst = step(prev, st)
-            if width > logp.shape[0]:  # a wider beam never prunes and grows as V^t
-                raise TypedescError(
-                    f"beam width {width} exceeds the {logp.shape[0]} scores of a decoding step")
-            top = np.argsort(-logp, kind="stable")[:width]
-            for tok in top:
-                tok = int(tok)
+            row, top, nst = next(rows)
+            for tok in top.tolist():
                 if tok == eos_id:
-                    candidates.append((ids, score + float(logp[tok]), nst, True))
+                    candidates.append((ids, score + float(row[tok]), nst, True))
                 else:
-                    candidates.append((ids + [tok], score + float(logp[tok]), nst, False))
-        if not any_open:
-            break
+                    candidates.append((ids + [tok], score + float(row[tok]), nst, False))
         candidates.sort(key=lambda h: -h[1])  # stable: insertion order breaks ties
         beams = candidates[:width]
     best = max(beams, key=lambda h: h[1] / (len(h[0]) + 1))

@@ -15,7 +15,7 @@ import numpy as np
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_sequence, gru_weights, init_gru, matmul, softmax, tanh,
+                       gru_sequence, gru_weights, init_gru, linear, softmax, tanh,
                        transpose, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS
@@ -77,31 +77,44 @@ def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet, params: dict) ->
 
 
 def attend_general(states: Tensor, s_prev: Tensor, w: Tensor):
-    """General-product attention: scores h_i . W s, softmax, weighted sum."""
-    scores = matmul(states, matmul(w, s_prev))
+    """General-product attention: scores h_i . W s, softmax, weighted sum.
+
+    Takes a state vector, or a block of rows, one per hypothesis, each
+    attended on its own, as the step functions take an id and a state
+    vector, or an id array and a block of rows.
+    """
+    scores = linear(linear(s_prev, w), states)
     alpha = softmax(scores)
-    context = matmul(transpose(states), alpha)
+    context = linear(alpha, transpose(states))
     return context, alpha
 
 
 def init_decoder_state(final: Tensor, params: dict) -> Tensor:
     """Decoder start state: learned tanh projection of the encoder final state."""
-    return tanh(matmul(params["s1.init.w"], final) + params["s1.init.b"])
+    return tanh(linear(final, params["s1.init.w"]) + params["s1.init.b"])
 
 
-def _step_logits(t_prev_id: int, s_prev: Tensor, enc: EncoderOutput, params: dict):
-    n_template = params["s1.tmpl_emb"].data.shape[0]
-    if not 0 <= t_prev_id < n_template:
-        raise TypedescError(f"unknown template token id {t_prev_id}")
+def check_ids(ids, size: int, what: str):
+    """Raise on the first id of an id or id array outside [0, size)."""
+    for i in np.ravel(ids).tolist():
+        if not 0 <= i < size:
+            raise TypedescError(f"unknown {what} token id {i}")
+
+
+def _step_logits(t_prev_id, s_prev: Tensor, enc: EncoderOutput, params: dict):
+    check_ids(t_prev_id, params["s1.tmpl_emb"].data.shape[0], "template")
     context, _ = attend_general(enc.states, s_prev, params["s1.attn.w"])
-    x = concat([embedding_lookup(params["s1.tmpl_emb"], t_prev_id), context])
+    x = concat([embedding_lookup(params["s1.tmpl_emb"], t_prev_id), context], axis=-1)
     s_next = gru_cell(x, s_prev, gru_weights(params, "s1.gru"))
-    logits = matmul(params["s1.out.w"], s_next) + params["s1.out.b"]
+    logits = linear(s_next, params["s1.out.w"]) + params["s1.out.b"]
     return logits, s_next
 
 
-def decode_template_step(t_prev_id: int, s_prev: Tensor, enc: EncoderOutput, params: dict):
-    """One decoder step: distribution over template tokens and the next state."""
+def decode_template_step(t_prev_id, s_prev: Tensor, enc: EncoderOutput, params: dict):
+    """One decoder step: distribution over template tokens and the next state.
+
+    Takes an id and a state vector, or an id array and a block of rows.
+    """
     logits, s_next = _step_logits(t_prev_id, s_prev, enc, params)
     return softmax(logits), s_next
 
@@ -125,11 +138,11 @@ def generate_template(enc: EncoderOutput, vocabs: VocabSet, params: dict, max_le
                       mode: str, beam_width: int) -> list[str]:
     """Decode a template until eos or max_len; tapes unless under no_grad."""
 
-    def step(prev_id, state):
-        probs, s_next = decode_template_step(prev_id, state, enc, params)
-        return np.log(probs.data + search.LOG_FLOOR), s_next
+    def step(prev_ids, states):
+        probs, s_next = decode_template_step(prev_ids, Tensor(np.array(states)), enc, params)
+        return np.log(probs.data + search.LOG_FLOOR), list(s_next.data)
 
-    ids = search.decode(step, init_decoder_state(enc.final, params),
+    ids = search.decode(step, init_decoder_state(enc.final, params).data,
                         vocabs.template_vocab[BOS], vocabs.template_vocab[EOS], max_len,
                         mode, beam_width)
     return [vocabs.template_itos[i] for i in ids]

@@ -13,11 +13,11 @@ import numpy as np
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_sequence, gru_weights, init_gru, matmul, scatter_add, sigmoid,
-                       softmax, tanh, transpose, uniform_param, zeros)
+                       gru_sequence, gru_weights, init_gru, linear, matmul, scatter_add,
+                       sigmoid, softmax, tanh, transpose, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS, UNK
-from .stage1 import EncoderOutput, ModelDims, attend_general
+from .stage1 import EncoderOutput, ModelDims, attend_general, check_ids
 
 MAX_DESCRIPTION_LEN = 24  # description words decoded before stopping without eos
 
@@ -127,14 +127,14 @@ def encode_template(template_tokens: list[str], vocabs: VocabSet, params: dict) 
 def init_description_state(enc_final: Tensor, template_final: Tensor, params: dict) -> Tensor:
     """Start state from both encoders through a learned tanh projection."""
     joined = concat([enc_final, template_final])
-    return tanh(matmul(params["s2.init.w"], joined) + params["s2.init.b"])
+    return tanh(linear(joined, params["s2.init.w"]) + params["s2.init.b"])
 
 
 def context_gates(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor, params: dict):
     """Sigmoid gates (g_x, g_t) over the source and template contexts."""
-    return tuple(sigmoid(matmul(params[f"s2.gate_{side}.we"], y_prev_emb)
-                         + matmul(params[f"s2.gate_{side}.us"], s_prev)
-                         + matmul(params[f"s2.gate_{side}.cc"], c)
+    return tuple(sigmoid(linear(y_prev_emb, params[f"s2.gate_{side}.we"])
+                         + linear(s_prev, params[f"s2.gate_{side}.us"])
+                         + linear(c, params[f"s2.gate_{side}.cc"])
                          + params[f"s2.gate_{side}.b"])
                  for side, c in (("x", c_x), ("t", c_t)))
 
@@ -146,12 +146,12 @@ def fuse_contexts(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor,
     The (1 - g_x - g_t) coefficient can go negative since both gates are
     independent sigmoids; implemented literally, no renormalization.
     """
-    target_side = matmul(params["s2.fuse.w"], y_prev_emb) \
-        + matmul(params["s2.fuse.u"], s_prev) + params["s2.fuse.b"]
+    target_side = linear(y_prev_emb, params["s2.fuse.w"]) \
+        + linear(s_prev, params["s2.fuse.u"]) + params["s2.fuse.b"]
     coeff = 1.0 - g_x - g_t
     return (coeff * target_side
-            + g_x * (matmul(params["s2.fuse.c1"], c_x) + params["s2.fuse.c1_b"])
-            + g_t * (matmul(params["s2.fuse.c2"], c_t) + params["s2.fuse.c2_b"]))
+            + g_x * (linear(c_x, params["s2.fuse.c1"]) + params["s2.fuse.c1_b"])
+            + g_t * (linear(c_t, params["s2.fuse.c2"]) + params["s2.fuse.c2_b"]))
 
 
 def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
@@ -162,30 +162,31 @@ def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
     over per-position source scores, positions of the same word summed. A
     sigmoid MLP switch supplies the mixture weight.
     """
-    sc = concat([s_j, c2])
-    gen_logits = matmul(params["s2.gen.w"], sc) + params["s2.gen.b"]
+    sc = concat([s_j, c2], axis=-1)
+    gen_logits = linear(sc, params["s2.gen.w"]) + params["s2.gen.b"]
     p_gen = softmax(gen_logits)
-    hidden = tanh(matmul(params["s2.switch.w1"], sc) + params["s2.switch.b1"])
-    p_z = sigmoid(matmul(params["s2.switch.w2"], hidden) + params["s2.switch.b2"])  # (1,)
+    hidden = tanh(linear(sc, params["s2.switch.w1"]) + params["s2.switch.b1"])
+    p_z = sigmoid(linear(hidden, params["s2.switch.w2"]) + params["s2.switch.b2"])  # (..., 1)
 
-    copy_scores = matmul(tanh(matmul(enc_states, params["s2.copy.w"]) + params["s2.copy.b"]),
-                         s_j)
+    copy_keys = tanh(matmul(enc_states, params["s2.copy.w"]) + params["s2.copy.b"])
+    copy_scores = linear(s_j, copy_keys)
     copy_probs = (1.0 - p_z) * softmax(copy_scores)
     return scatter_add(p_z * p_gen, copy_probs, extvocab.position_ids, extvocab.size)
 
 
-def description_step(y_prev_id: int, s_prev: Tensor, enc: EncoderOutput,
+def description_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
                      template_enc: EncoderOutput, extvocab: ExtendedVocab, params: dict):
-    """One decoder step: distribution over the extended vocabulary and next state."""
-    n_target = params["s2.word_emb"].data.shape[0]
-    if not 0 <= y_prev_id < n_target:
-        raise TypedescError(f"unknown target token id {y_prev_id}")
+    """One decoder step: distribution over the extended vocabulary and next state.
+
+    Takes an id and a state vector, or an id array and a block of rows.
+    """
+    check_ids(y_prev_id, params["s2.word_emb"].data.shape[0], "target")
     y_emb = embedding_lookup(params["s2.word_emb"], y_prev_id)
     c_x, _ = attend_general(enc.states, s_prev, params["s2.attn_x.w"])
     c_t, _ = attend_general(template_enc.states, s_prev, params["s2.attn_t.w"])
     g_x, g_t = context_gates(y_emb, s_prev, c_x, c_t, params)
     c2 = fuse_contexts(y_emb, s_prev, c_x, c_t, g_x, g_t, params)
-    s_j = gru_cell(concat([y_emb, c2]), s_prev, gru_weights(params, "s2.gru"))
+    s_j = gru_cell(concat([y_emb, c2], axis=-1), s_prev, gru_weights(params, "s2.gru"))
     dist = copy_gen_distribution(s_j, c2, enc.states, extvocab, params)
     return dist, s_j
 
@@ -214,12 +215,14 @@ def decode_description(enc: EncoderOutput, template_enc: EncoderOutput,
                        beam_width: int) -> list[str]:
     """Decode a description, copied OOV words verbatim; tapes unless under no_grad."""
 
-    def step(prev_ext_id, state):
-        prev = extvocab.decoder_input_id(prev_ext_id)
-        dist, s_next = description_step(prev, state, enc, template_enc, extvocab, params)
-        return np.log(dist.data + search.LOG_FLOOR), s_next
+    def step(prev_ext_ids, states):
+        prev = [extvocab.decoder_input_id(i) for i in prev_ext_ids]
+        dist, s_next = description_step(prev, Tensor(np.array(states)), enc, template_enc,
+                                        extvocab, params)
+        return np.log(dist.data + search.LOG_FLOOR), list(s_next.data)
 
     target_vocab = extvocab.vocabs.target_vocab
-    ids = search.decode(step, init_description_state(enc.final, template_enc.final, params),
-                        target_vocab[BOS], target_vocab[EOS], max_len, mode, beam_width)
+    s0 = init_description_state(enc.final, template_enc.final, params).data
+    ids = search.decode(step, s0, target_vocab[BOS], target_vocab[EOS], max_len, mode,
+                        beam_width)
     return [extvocab.word(i) for i in ids]

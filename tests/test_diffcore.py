@@ -202,6 +202,73 @@ class TestFusedGRU:
         assert len(made) == 2
 
 
+class TestRowBlocks:
+    """linear, gru_cell and scatter_add take a block of rows through the vector code."""
+
+    def test_linear_on_a_vector_is_matmul_bitwise(self):
+        rng = np.random.default_rng(30)
+        w, x = param(rng, 5, 7), param(rng, 7)
+        probe = dc.Tensor(rng.normal(size=5))
+        got = dc.linear(x, w)
+        want = dc.matmul(w, x)
+        assert np.array_equal(got.data, want.data)
+        got_grads = grads_of(lambda: (dc.linear(x, w) * probe).sum(), [w, x])
+        want_grads = grads_of(lambda: (dc.matmul(w, x) * probe).sum(), [w, x])
+        for g, r in zip(got_grads, want_grads):
+            assert np.array_equal(g, r)
+
+    def test_linear_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(31)
+        w, x, xs = param(rng, 3, 4), param(rng, 4), param(rng, 2, 4)
+        assert dc.grad_check(lambda: (dc.linear(x, w) * dc.Tensor([1.0, -2.0, 0.5])).sum(),
+                             [w, x]) < 1e-6
+        probe = dc.Tensor(rng.normal(size=(2, 3)))
+        assert dc.grad_check(lambda: (dc.linear(xs, w) * probe).sum(), [w, xs]) < 1e-6
+
+    def test_linear_rejects_a_mismatched_row_length(self):
+        with pytest.raises(ShapeMismatch, match=r"linear: incompatible shapes \(2, 3\) and "
+                                                r"\(4, 4\)"):
+            dc.linear(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((4, 4))))
+
+    def test_linear_one_row_block_is_the_vector_bitwise(self):
+        rng = np.random.default_rng(32)
+        w, x = rng.normal(size=(6, 9)), rng.normal(size=9)
+        row = dc.linear(dc.Tensor(x[None]), dc.Tensor(w)).data
+        assert row.shape == (1, 6) and np.array_equal(row[0], w @ x)
+
+    def test_gru_cell_block_rows_are_cells(self):
+        rng = np.random.default_rng(33)
+        w = random_gru(rng, 5, 4)
+        xs, hs = param(rng, 3, 5, scale=1.0), param(rng, 3, 4, scale=1.0)
+        block = dc.gru_cell(xs, hs, w).data
+        for i in range(3):
+            cell = dc.gru_cell(dc.Tensor(xs.data[i]), dc.Tensor(hs.data[i]), w).data
+            assert_close_relative(block[i], cell)
+        one = dc.gru_cell(dc.Tensor(xs.data[:1]), dc.Tensor(hs.data[:1]), w).data
+        assert np.array_equal(one[0], dc.gru_cell(dc.Tensor(xs.data[0]),
+                                                  dc.Tensor(hs.data[0]), w).data)
+        probe = dc.Tensor(rng.normal(size=(3, 4)))
+        err = dc.grad_check(lambda: (dc.gru_cell(xs, hs, w) * probe).sum(), [xs, hs, *w],
+                            epsilon=1e-4)
+        assert err < 1e-6
+
+    def test_scatter_add_block_rows_are_vector_calls(self):
+        rng = np.random.default_rng(34)
+        base, src = param(rng, 3, 2), param(rng, 3, 5)
+        idx = np.array([0, 3, 3, 2, 0])
+        block = dc.scatter_add(base, src, idx, 4).data
+        for i in range(3):
+            row = dc.scatter_add(dc.Tensor(base.data[i]), dc.Tensor(src.data[i]), idx, 4).data
+            assert np.array_equal(block[i], row)
+        probe = dc.Tensor(rng.normal(size=(3, 4)))
+        assert dc.grad_check(lambda: (dc.scatter_add(base, src, idx, 4) * probe).sum(),
+                             [base, src]) < 1e-6
+
+    def test_scatter_add_rejects_unpaired_rows(self):
+        with pytest.raises(ShapeMismatch, match="scatter_add"):
+            dc.scatter_add(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((3, 2))), [0, 1], 4)
+
+
 def outer_sum(gs, xs):
     return sum(np.outer(g, x) for g, x in zip(gs, xs))
 

@@ -9,10 +9,10 @@ EOS = 2
 
 
 def step_fn(table):
-    """State is the number of tokens emitted so far; rows of `table` are log-probs."""
-    def step(prev, state):
-        row = np.log(np.asarray(table[min(state, len(table) - 1)]))
-        return row, state + 1
+    """State is the number of tokens emitted so far; rows of `table` are probabilities."""
+    def step(prev_ids, states):
+        rows = np.log(np.asarray([table[min(s, len(table) - 1)] for s in states]))
+        return rows, [s + 1 for s in states]
     return step
 
 
@@ -43,19 +43,54 @@ class TestBeam:
             [0.01, 0.01, 0.98],   # after token 1: confident eos
         ]
 
-        def step(prev, state):
+        def row(prev, state):
             if state == 0:
-                row = table[0]
-            elif prev == 0:
-                row = [0.4, 0.4, 0.2]  # continuing the greedy branch stays weak
-            else:
-                row = table[2]
-            return np.log(np.asarray(row)), state + 1
+                return table[0]
+            if prev == 0:
+                return [0.4, 0.4, 0.2]  # continuing the greedy branch stays weak
+            return table[2]
+
+        def step(prev_ids, states):
+            rows = [row(prev, state) for prev, state in zip(prev_ids, states)]
+            return np.log(np.asarray(rows)), [s + 1 for s in states]
 
         greedy_ids = search.greedy(step, 0, 0, EOS, 4)
         beam_ids = search.beam(step, 0, 0, EOS, 4, width=2)
         assert greedy_ids[0] == 0
         assert beam_ids == [1]
+
+    def test_one_step_call_per_search_step(self):
+        # state: the hypothesis's token ids; token 0 scores best, then 1, 3, 2 (eos), 4
+        probs = np.array([0.4, 0.25, 0.1, 0.15, 0.1])
+        calls = []
+
+        def step(prev_ids, states):
+            calls.append((list(prev_ids), list(states)))
+            rows = np.log(np.tile(probs, (len(states), 1)))
+            return rows, [st + (int(p),) for st, p in zip(states, prev_ids)]
+
+        search.beam(step, (), 9, EOS, 4, width=3)
+        assert len(calls) == 4
+        assert calls[0] == ([9], [()])
+        for prev_ids, states in calls[1:]:
+            assert len(states) == 3
+        # every open hypothesis, in beam order: best first, its last token as prev id
+        assert calls[1] == ([0, 1, 3], [(9,), (9,), (9,)])
+        assert calls[2][0] == [0, 1, 0]
+        assert calls[2][1] == [(9, 0), (9, 0), (9, 1)]
+
+    def test_finished_hypotheses_are_not_stepped(self):
+        # eos scores best: each step's best candidate finishes and is carried, never
+        # stepped; after step 2 both kept hypotheses have finished and no call is made
+        probs = np.array([0.3, 0.2, 0.45, 0.05])
+        widths = []
+
+        def step(prev_ids, states):
+            widths.append(len(states))
+            return np.log(np.tile(probs, (len(states), 1))), list(states)
+
+        search.beam(step, 0, 0, EOS, 3, width=2)
+        assert widths == [1, 1]
 
     def test_invalid_width(self):
         with pytest.raises(TypedescError):

@@ -7,7 +7,7 @@ from typedesc import diffcore as dc
 from typedesc import stage1
 from typedesc.corpus import SourceToken, build_vocabs, reconstruct_infobox
 from typedesc.errors import TypedescError
-from typedesc.lexicon import BOS
+from typedesc.lexicon import BOS, HED
 from typedesc.config import RunConfig
 from typedesc.trainer import TrainConfig, TwoStageModel
 
@@ -121,6 +121,46 @@ class TestDecodeStep:
         source, enc = zero.encode_entity(ent)
         s0 = stage1.init_decoder_state(enc.final, zero.params)
         np.testing.assert_allclose(s0.data, 0.0, atol=1e-15)
+
+
+class TestDecodeStepRows:
+    """An id array and a block of rows take the vector step's code row by row."""
+
+    def states(self, model, enc, count):
+        s0 = stage1.init_decoder_state(enc.final, model.params).data
+        rng = np.random.default_rng(12)
+        return [s0] + [np.tanh(s0 + rng.normal(0.0, 0.5, s0.shape)) for _ in range(count - 1)]
+
+    def test_one_row_block_is_the_vector_call_bitwise(self, setup):
+        ent, vocabs, model = setup
+        _, enc = model.encode_entity(ent)
+        (s0,) = self.states(model, enc, 1)
+        prev = vocabs.template_vocab[BOS]
+        probs, s_next = stage1.decode_template_step(prev, dc.Tensor(s0), enc, model.params)
+        rows, s_rows = stage1.decode_template_step(np.array([prev]), dc.Tensor(s0[None]), enc,
+                                                   model.params)
+        assert np.array_equal(rows.data[0], probs.data)
+        assert np.array_equal(s_rows.data[0], s_next.data)
+
+    def test_block_rows_match_vector_calls(self, setup):
+        ent, vocabs, model = setup
+        _, enc = model.encode_entity(ent)
+        states = self.states(model, enc, 3)
+        ids = [vocabs.template_vocab[BOS], vocabs.template_vocab[HED], 5]
+        rows, s_rows = stage1.decode_template_step(np.array(ids), dc.Tensor(np.stack(states)),
+                                                   enc, model.params)
+        for i, (prev, state) in enumerate(zip(ids, states)):
+            probs, s_next = stage1.decode_template_step(prev, dc.Tensor(state), enc,
+                                                        model.params)
+            np.testing.assert_allclose(rows.data[i], probs.data, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(s_rows.data[i], s_next.data, rtol=1e-12, atol=0)
+
+    def test_block_with_an_unknown_id_rejected(self, setup):
+        ent, vocabs, model = setup
+        _, enc = model.encode_entity(ent)
+        states = dc.Tensor(np.stack(self.states(model, enc, 3)))
+        with pytest.raises(TypedescError, match="unknown template token id 99999"):
+            stage1.decode_template_step(np.array([2, 99999, 3]), states, enc, model.params)
 
 
 class TestGenerateTemplate:

@@ -252,6 +252,49 @@ class TestCopyGenDistribution:
         assert err < 1e-4
 
 
+class TestDescriptionStepRows:
+    """An id array and a block of rows take the vector step's code row by row."""
+
+    def inputs(self, setup, count):
+        ent, vocabs, model = setup
+        source, enc = model.encode_entity(ent)
+        template_enc = stage2.encode_template([HED, "in", MOD], vocabs, model.params)
+        ext = stage2.ExtendedVocab(vocabs, source)
+        s0 = stage2.init_description_state(enc.final, template_enc.final, model.params).data
+        rng = np.random.default_rng(13)
+        states = [s0] + [np.tanh(s0 + rng.normal(0.0, 0.5, s0.shape)) for _ in range(count - 1)]
+        return vocabs, model, enc, template_enc, ext, states
+
+    def test_one_row_block_is_the_vector_call_bitwise(self, setup):
+        vocabs, model, enc, template_enc, ext, (s0,) = self.inputs(setup, 1)
+        prev = vocabs.target_vocab["street"]
+        dist, s_next = stage2.description_step(prev, dc.Tensor(s0), enc, template_enc, ext,
+                                               model.params)
+        rows, s_rows = stage2.description_step(np.array([prev]), dc.Tensor(s0[None]), enc,
+                                               template_enc, ext, model.params)
+        assert np.array_equal(rows.data[0], dist.data)
+        assert np.array_equal(s_rows.data[0], s_next.data)
+
+    def test_block_rows_match_vector_calls(self, setup):
+        vocabs, model, enc, template_enc, ext, states = self.inputs(setup, 3)
+        assert ext.oov_words  # the third row feeds back a copied OOV word
+        copied = ext.decoder_input_id(ext.ext_id(ext.oov_words[0]))
+        ids = [vocabs.target_vocab["street"], vocabs.target_vocab["paris"], copied]
+        rows, s_rows = stage2.description_step(np.array(ids), dc.Tensor(np.stack(states)), enc,
+                                               template_enc, ext, model.params)
+        for i, (prev, state) in enumerate(zip(ids, states)):
+            dist, s_next = stage2.description_step(prev, dc.Tensor(state), enc, template_enc,
+                                                   ext, model.params)
+            np.testing.assert_allclose(rows.data[i], dist.data, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(s_rows.data[i], s_next.data, rtol=1e-12, atol=0)
+
+    def test_block_with_an_unknown_id_rejected(self, setup):
+        vocabs, model, enc, template_enc, ext, states = self.inputs(setup, 2)
+        with pytest.raises(TypedescError, match="unknown target token id 99999"):
+            stage2.description_step(np.array([99999, 2]), dc.Tensor(np.stack(states)), enc,
+                                    template_enc, ext, model.params)
+
+
 class TestDecodeDescription:
     def test_max_len_one(self, setup):
         ent, vocabs, model = setup

@@ -145,6 +145,30 @@ def test_joint_loss_node_count(monkeypatch):
     assert len(made) <= 474
 
 
+def test_beam_makes_one_step_call_per_search_step(corpus, monkeypatch):
+    # beam:3 scores every open hypothesis in one call, so a decoder is stepped
+    # at most max_len times; one call per hypothesis makes up to 1 + 3 (max_len - 1)
+    ents, vocabs, _ = corpus
+    model = TwoStageModel.build(stage1.ModelDims(d_h=8, d_word=8, d_prop=4, d_pos=4),
+                                vocabs, seed=3)
+    calls = {"template": 0, "description": 0}
+
+    def counted(key, fn):
+        def step(*args):
+            calls[key] += 1
+            return fn(*args)
+        return step
+
+    monkeypatch.setattr(stage1, "decode_template_step",
+                        counted("template", stage1.decode_template_step))
+    monkeypatch.setattr(stage2, "description_step",
+                        counted("description", stage2.description_step))
+    template, description = model.generate(ents[0], mode="beam", beam_width=3,
+                                           max_template_len=5, max_description_len=6)
+    assert 0 < calls["template"] <= 5
+    assert 0 < calls["description"] <= 6
+
+
 class TestTrain:
     def split(self, ents, n_valid=0):
         if n_valid:
