@@ -104,9 +104,6 @@ class VocabSet:
     def property_id(self, prop: str) -> int:
         return self.property_vocab.get(prop, self.property_vocab[UNK])
 
-    def target_id(self, word: str) -> int:
-        return self.target_vocab.get(word, self.target_vocab[UNK])
-
     def template_id(self, token: str) -> int:
         return self.template_vocab.get(token, self.template_vocab[UNK])
 

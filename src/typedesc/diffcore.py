@@ -4,9 +4,11 @@ A deliberately small engine: numpy holds the arrays, each op records its
 parents and a backward closure, and `Tensor.backward()` walks the tape in
 reverse topological order, then forms each parameter's weight gradient from
 the rows every step sent it as one matrix product. Covers exactly the ops
-the two-stage generator needs, plus a GRU that is one node per step or per
-sequence, Adam, finite-difference gradient checking and a binary checkpoint
-format.
+the two-stage generator needs, with three fused ones, each one node with an
+analytic backward written on raw arrays: an affine sum of several products
+and a bias (`affine`), general-product attention (`attend`) and a GRU step
+or sequence (`gru_cell`, `gru_sequence`). Plus Adam, finite-difference
+gradient checking and a binary checkpoint format.
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class Tensor:
         return mul(self, _tensor(other))
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _tensor(x) -> Tensor:
@@ -237,6 +236,85 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         _accum(x, (wd.T @ g.T).T)
 
     return _make((wd @ xd.T).T, (w, x), backprop)
+
+
+def _affine(ws, xs, b):
+    """w_1 x_1 + ... + w_n x_n + b on raw arrays: each product `linear`'s, added left to right."""
+    out = (ws[0] @ xs[0].T).T
+    for w, x in zip(ws[1:], xs[1:]):
+        out = out + (w @ x.T).T
+    return out + b
+
+
+def affine(ws: list[Tensor], xs: list[Tensor], b: Tensor) -> Tensor:
+    """w_1 x_1 + ... + w_n x_n + b for vectors x_i, or for blocks of rows, as one node.
+
+    The values are those of the chain of `linear` and `add` nodes it replaces.
+    """
+    for w, x in zip(ws, xs):
+        if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != xs[0].data.shape[:-1]
+                or w.data.shape != b.data.shape + x.data.shape[-1:]):
+            raise ShapeMismatch(f"affine: weight {w.shape}, input {x.shape}, bias {b.shape}")
+    data = _affine([w.data for w in ws], [x.data for x in xs], b.data)
+
+    def backprop(g):
+        g2 = g if g.ndim == 2 else g[None]  # a vector: one row
+        for w, x in zip(ws, xs):
+            xd = x.data
+            _accum_outer(w, g2, xd if xd.ndim == 2 else xd[None])
+            _accum(x, (w.data.T @ g.T).T)
+        _accum(b, _unbroadcast(g, b.data.shape))
+
+    return _make(data, (*ws, *xs, b), backprop)
+
+
+# General-product attention (Luong et al. 2015) on raw arrays, for a query
+# s that is a state vector or a block of rows, each row attended on its own:
+#   q = W s; scores = H q; alpha = softmax(scores); context = H^T alpha
+# Each product is the one `linear` computes, and the softmax is `softmax`'s.
+
+def _attend(states, s, w):
+    """The context and the values its backward needs, (q, alpha)."""
+    q = (w @ s.T).T
+    scores = (states @ q.T).T
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    return (states.T @ alpha.T).T, (q, alpha)
+
+
+def _attend_grad(g, states, w, saved):
+    """Gradients of the scores, of q and of s, from g, the gradient of the context."""
+    _q, alpha = saved
+    dalpha = (states @ g.T).T
+    dscores = (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True)) * alpha
+    dq = (states.T @ dscores.T).T
+    return dscores, dq, (w.T @ dq.T).T
+
+
+def attend(states: Tensor, s: Tensor, w: Tensor):
+    """General-product attention of s over the rows of states, as one node.
+
+    Returns the context node and alpha, the attention weights as an array.
+    """
+    hd, sd, wd = states.data, s.data, w.data
+    if (hd.ndim != 2 or wd.ndim != 2 or sd.ndim not in (1, 2)
+            or sd.shape[-1] != wd.shape[1] or wd.shape[0] != hd.shape[1]):
+        raise ShapeMismatch(f"attend: states {states.shape}, query {s.shape}, "
+                            f"weight {w.shape}")
+    context, saved = _attend(hd, sd, wd)
+
+    def backprop(g):
+        dscores, dq, ds = _attend_grad(g, hd, wd, saved)
+        rows = [g, saved[1], dscores, saved[0], dq, sd]
+        if sd.ndim == 1:  # a vector: one row
+            rows = [a[None] for a in rows]
+        g2, alpha2, dscores2, q2, dq2, s2 = rows
+        _accum(states, (g2.T @ alpha2).T)
+        _accum_outer(states, dscores2, q2)
+        _accum_outer(w, dq2, s2)
+        _accum(s, ds)
+
+    return _make(context, (states, w, s), backprop), saved[1]
 
 
 def transpose(a: Tensor) -> Tensor:

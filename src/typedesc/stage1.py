@@ -14,9 +14,9 @@ import numpy as np
 
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
-from .diffcore import (Tensor, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_sequence, gru_weights, init_gru, linear, softmax, tanh,
-                       transpose, uniform_param, zeros)
+from .diffcore import (Tensor, affine, attend, concat, cross_entropy, embedding_lookup,
+                       gru_cell, gru_sequence, gru_weights, init_gru, softmax, tanh,
+                       uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS
 
@@ -77,21 +77,20 @@ def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet, params: dict) ->
 
 
 def attend_general(states: Tensor, s_prev: Tensor, w: Tensor):
-    """General-product attention: scores h_i . W s, softmax, weighted sum.
+    """General-product attention: scores h_i . W s, softmax, weighted sum, as one node.
 
     Takes a state vector, or a block of rows, one per hypothesis, each
     attended on its own, as the step functions take an id and a state
-    vector, or an id array and a block of rows.
+    vector, or an id array and a block of rows. Returns the context and the
+    attention weights alpha, a Tensor without gradient.
     """
-    scores = linear(linear(s_prev, w), states)
-    alpha = softmax(scores)
-    context = linear(alpha, transpose(states))
-    return context, alpha
+    context, alpha = attend(states, s_prev, w)
+    return context, Tensor(alpha)
 
 
 def init_decoder_state(final: Tensor, params: dict) -> Tensor:
     """Decoder start state: learned tanh projection of the encoder final state."""
-    return tanh(linear(final, params["s1.init.w"]) + params["s1.init.b"])
+    return tanh(affine([params["s1.init.w"]], [final], params["s1.init.b"]))
 
 
 def check_ids(ids, size: int, what: str):
@@ -106,7 +105,7 @@ def _step_logits(t_prev_id, s_prev: Tensor, enc: EncoderOutput, params: dict):
     context, _ = attend_general(enc.states, s_prev, params["s1.attn.w"])
     x = concat([embedding_lookup(params["s1.tmpl_emb"], t_prev_id), context], axis=-1)
     s_next = gru_cell(x, s_prev, gru_weights(params, "s1.gru"))
-    logits = linear(s_next, params["s1.out.w"]) + params["s1.out.b"]
+    logits = affine([params["s1.out.w"]], [s_next], params["s1.out.b"])
     return logits, s_next
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
-from .diffcore import (Tensor, concat, cross_entropy, embedding_lookup, gru_cell,
+from .diffcore import (Tensor, affine, concat, cross_entropy, embedding_lookup, gru_cell,
                        gru_sequence, gru_weights, init_gru, linear, matmul, scatter_add,
                        sigmoid, softmax, tanh, transpose, uniform_param, zeros)
 from .errors import TypedescError
@@ -127,15 +127,13 @@ def encode_template(template_tokens: list[str], vocabs: VocabSet, params: dict) 
 def init_description_state(enc_final: Tensor, template_final: Tensor, params: dict) -> Tensor:
     """Start state from both encoders through a learned tanh projection."""
     joined = concat([enc_final, template_final])
-    return tanh(linear(joined, params["s2.init.w"]) + params["s2.init.b"])
+    return tanh(affine([params["s2.init.w"]], [joined], params["s2.init.b"]))
 
 
 def context_gates(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor, params: dict):
     """Sigmoid gates (g_x, g_t) over the source and template contexts."""
-    return tuple(sigmoid(linear(y_prev_emb, params[f"s2.gate_{side}.we"])
-                         + linear(s_prev, params[f"s2.gate_{side}.us"])
-                         + linear(c, params[f"s2.gate_{side}.cc"])
-                         + params[f"s2.gate_{side}.b"])
+    return tuple(sigmoid(affine([params[f"s2.gate_{side}.{k}"] for k in ("we", "us", "cc")],
+                                [y_prev_emb, s_prev, c], params[f"s2.gate_{side}.b"]))
                  for side, c in (("x", c_x), ("t", c_t)))
 
 
@@ -146,12 +144,12 @@ def fuse_contexts(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor,
     The (1 - g_x - g_t) coefficient can go negative since both gates are
     independent sigmoids; implemented literally, no renormalization.
     """
-    target_side = linear(y_prev_emb, params["s2.fuse.w"]) \
-        + linear(s_prev, params["s2.fuse.u"]) + params["s2.fuse.b"]
+    target_side = affine([params["s2.fuse.w"], params["s2.fuse.u"]], [y_prev_emb, s_prev],
+                         params["s2.fuse.b"])
     coeff = 1.0 - g_x - g_t
     return (coeff * target_side
-            + g_x * (linear(c_x, params["s2.fuse.c1"]) + params["s2.fuse.c1_b"])
-            + g_t * (linear(c_t, params["s2.fuse.c2"]) + params["s2.fuse.c2_b"]))
+            + g_x * affine([params["s2.fuse.c1"]], [c_x], params["s2.fuse.c1_b"])
+            + g_t * affine([params["s2.fuse.c2"]], [c_t], params["s2.fuse.c2_b"]))
 
 
 def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
@@ -163,10 +161,9 @@ def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
     sigmoid MLP switch supplies the mixture weight.
     """
     sc = concat([s_j, c2], axis=-1)
-    gen_logits = linear(sc, params["s2.gen.w"]) + params["s2.gen.b"]
-    p_gen = softmax(gen_logits)
-    hidden = tanh(linear(sc, params["s2.switch.w1"]) + params["s2.switch.b1"])
-    p_z = sigmoid(linear(hidden, params["s2.switch.w2"]) + params["s2.switch.b2"])  # (..., 1)
+    p_gen = softmax(affine([params["s2.gen.w"]], [sc], params["s2.gen.b"]))
+    hidden = tanh(affine([params["s2.switch.w1"]], [sc], params["s2.switch.b1"]))
+    p_z = sigmoid(affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"]))  # (..., 1)
 
     copy_keys = tanh(matmul(enc_states, params["s2.copy.w"]) + params["s2.copy.b"])
     copy_scores = linear(s_j, copy_keys)

@@ -88,7 +88,7 @@ def token_accuracy(model, entities):
                                                       ext, model.params)
                 correct += int(np.argmax(dist.data)) == ext.ext_id(tok)
                 total += 1
-                prev = vocabs.target_id(tok)
+                prev = vocabs.target_vocab.get(tok, vocabs.target_vocab[UNK])
     return correct / total
 
 
@@ -249,7 +249,7 @@ def test_criterion_3_copy_behavior(overfit):
     # generate-path mass for an OOV word must route through unk only
     ent = next(e for e in entities if any(w in oov for w in e.description_tokens))
     word = next(w for w in ent.description_tokens if w in oov)
-    assert vocabs.target_id(word) == vocabs.target_vocab[UNK]
+    assert vocabs.target_vocab.get(word, vocabs.target_vocab[UNK]) == vocabs.target_vocab[UNK]
     source, enc = model.encode_entity(ent)
     ext = stage2.ExtendedVocab(vocabs, source)
     assert ext.ext_id(word) >= ext.base_size

