@@ -119,10 +119,22 @@ def _load_model(checkpoint_path: Path):
     return model, cfg
 
 
+def _template_override(text: str, vocabs: corpus.VocabSet) -> list[str]:
+    """The tokens of `--template`, each a template word of this run (not a reserved token)."""
+    tokens = corpus.tokenize(text)
+    if not tokens:
+        raise TypedescError("--template is blank")
+    for token in tokens:
+        if token not in vocabs.template_vocab or token in corpus.RESERVED_WORDS:
+            raise TypedescError(f"--template token '{token}' is not a template word of this run")
+    return tokens
+
+
 def cmd_generate(args) -> int:
     mode, width = search.parse_mode(args.mode)
     model, cfg = _load_model(Path(args.checkpoint))
-    override = corpus.tokenize(args.template) if args.template else None
+    override = (None if args.template is None
+                else _template_override(args.template, model.vocabs))
     entities = corpus.load_jsonl(args.input)
     lines = []
     for ent in entities:

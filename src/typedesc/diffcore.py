@@ -157,7 +157,9 @@ _PENDING: dict[int, tuple[Tensor, list, list]] = {}
 
 
 def _accum_outer(t: Tensor, g, x):
-    """Accumulate g.T @ x into t's gradient; g and x are matrices whose rows pair up."""
+    """Accumulate g.T @ x into t's gradient; g and x are rows that pair up, any
+    leading shape read as rows, so a vector is one row and needs no adapter."""
+    g, x = g.reshape(-1, g.shape[-1]), x.reshape(-1, x.shape[-1])
     if t._backprop is not None:
         _accum(t, g.T @ x)
     elif t.requires_grad:
@@ -213,8 +215,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def backprop(g):
-        g2, b2 = (g, bd) if bd.ndim == 2 else (g[:, None], bd[:, None])  # 1-d b: one column
-        _accum_outer(a, g2.T, b2.T)
+        _accum_outer(a, g.T, bd.T)
         _accum(b, ad.T @ g)
 
     return _make(ad @ bd, (a, b), backprop)
@@ -231,8 +232,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeMismatch(f"linear: incompatible shapes {x.shape} and {w.shape}")
 
     def backprop(g):
-        g2, x2 = (g, xd) if xd.ndim == 2 else (g[None], xd[None])  # a vector: one row
-        _accum_outer(w, g2, x2)
+        _accum_outer(w, g, xd)
         _accum(x, (wd.T @ g.T).T)
 
     return _make((wd @ xd.T).T, (w, x), backprop)
@@ -258,10 +258,8 @@ def affine(ws: list[Tensor], xs: list[Tensor], b: Tensor) -> Tensor:
     data = _affine([w.data for w in ws], [x.data for x in xs], b.data)
 
     def backprop(g):
-        g2 = g if g.ndim == 2 else g[None]  # a vector: one row
         for w, x in zip(ws, xs):
-            xd = x.data
-            _accum_outer(w, g2, xd if xd.ndim == 2 else xd[None])
+            _accum_outer(w, g, x.data)
             _accum(x, (w.data.T @ g.T).T)
         _accum(b, _unbroadcast(g, b.data.shape))
 
@@ -305,13 +303,10 @@ def attend(states: Tensor, s: Tensor, w: Tensor):
 
     def backprop(g):
         dscores, dq, ds = _attend_grad(g, hd, wd, saved)
-        rows = [g, saved[1], dscores, saved[0], dq, sd]
-        if sd.ndim == 1:  # a vector: one row
-            rows = [a[None] for a in rows]
-        g2, alpha2, dscores2, q2, dq2, s2 = rows
-        _accum(states, (g2.T @ alpha2).T)
-        _accum_outer(states, dscores2, q2)
-        _accum_outer(w, dq2, s2)
+        q, alpha = saved
+        _accum_outer(states, alpha, g)
+        _accum_outer(states, dscores, q)
+        _accum_outer(w, dq, sd)
         _accum(s, ds)
 
     return _make(context, (states, w, s), backprop), saved[1]
@@ -491,14 +486,14 @@ def _gru_param_grads(w: GRUWeights, xs, hs, rhs, daz, dar, dah):
     """Accumulate the weight gradients and return the input gradient.
 
     Row t of xs, hs and rhs holds step t's x, h and r*h, and row t of
-    daz, dar and dah its gate input-part gradients; each weight gradient is
-    one product over all steps.
+    daz, dar and dah its gate input-part gradients (vectors are one step);
+    each weight gradient is one product over all steps.
     """
     for wx, u, b, da, hu in ((w.wz, w.uz, w.bz, daz, hs), (w.wr, w.ur, w.br, dar, hs),
                              (w.wh, w.uh, w.bh, dah, rhs)):
         _accum_outer(wx, da, xs)
         _accum_outer(u, da, hu)
-        _accum(b, da.sum(axis=0))
+        _accum(b, _unbroadcast(da, b.data.shape))
     return daz @ w.wz.data + dar @ w.wr.data + dah @ w.wh.data
 
 
@@ -512,10 +507,7 @@ def gru_cell(x: Tensor, h: Tensor, w: GRUWeights) -> Tensor:
     def backprop(g):
         daz, dar, dah, dh = _gru_step_grad(g, hd, saved, w)
         _accum(h, dh)
-        rows = (xd, hd, saved[2], daz, dar, dah)
-        if xd.ndim == 1:  # a vector: one row
-            rows = [a[None] for a in rows]
-        _accum(x, _gru_param_grads(w, *rows).reshape(xd.shape))
+        _accum(x, _gru_param_grads(w, xd, hd, saved[2], daz, dar, dah))
 
     return _make(h_next, (x, h, *w), backprop)
 

@@ -3,9 +3,10 @@
 A step function takes the previous token id of every open hypothesis and
 their decoder states, as a list, and scores all of them in one call:
 `step(prev_ids, states) -> (log-probability rows (n, V), next states as a
-list)`. Row i and state i belong to hypothesis i; greedy is the one-row
-case. The search owns sequence bookkeeping only and treats states as opaque.
-This module is the one place that parses a decoding mode and dispatches on it.
+list)`. Row i and state i belong to hypothesis i. There is one search loop:
+greedy is the width-1 beam, whose one hypothesis is one row. The search
+owns sequence bookkeeping only and treats states as opaque. This module is
+the one place that parses a decoding mode and dispatches on it.
 """
 
 from __future__ import annotations
@@ -18,26 +19,22 @@ LOG_FLOOR = 1e-300  # added to a probability before its log, so that a zero scor
 
 
 def greedy(step, state, bos_id: int, eos_id: int, max_len: int) -> list[int]:
-    ids = []
-    prev, states = bos_id, [state]
-    for _ in range(max_len):
-        logp, states = step([prev], states)
-        nxt = int(np.argmax(logp[0]))
-        if nxt == eos_id:
-            break
-        ids.append(nxt)
-        prev = nxt
-    return ids
+    """The width-1 beam: the most likely token at each step, the lowest id on a tie."""
+    return _search(step, state, bos_id, eos_id, max_len, 1)
 
 
 def beam(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> list[int]:
-    """Prune by cumulative log-probability, pick the final hypothesis by mean.
+    """Prune by cumulative log-probability, pick the final hypothesis by mean."""
+    return _search(step, state, bos_id, eos_id, max_len, _check_width(width))
+
+
+def _search(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> list[int]:
+    """The one search loop behind `greedy` and `beam`.
 
     Each search step scores every open hypothesis in one step call. Finished
     hypotheses keep their place among the candidates; each open one adds its
     top `width` tokens in order, and one stable sort by score follows.
     """
-    _check_width(width)
     # hypothesis: (ids, cumulative logp, state, finished)
     beams = [([], 0.0, state, False)]
     for _ in range(max_len):
@@ -49,7 +46,9 @@ def beam(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> lis
         if width > logp.shape[1]:  # a wider beam never prunes and grows as V^t
             raise TypedescError(
                 f"beam width {width} exceeds the {logp.shape[1]} scores of a decoding step")
-        tops = np.argsort(-logp, axis=1, kind="stable")[:, :width]
+        # width 1 takes argmax, the stable sort's first entry, without sorting V scores
+        tops = (logp.argmax(axis=1)[:, None] if width == 1
+                else np.argsort(-logp, axis=1, kind="stable")[:, :width])
         rows = iter(zip(logp, tops, next_states))
         candidates = []
         for ids, score, st, finished in beams:

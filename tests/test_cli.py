@@ -332,6 +332,25 @@ class TestGenerateCommand:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all(row["template"] == "$hed$ in $mod$" for row in rows)
 
+    @pytest.mark.parametrize("template,named", [
+        ("", "--template is blank"), (" ", "--template is blank"),
+        ("zzz qqq", "token 'zzz' is not a template word"),
+        ("$hed$ <unk>", "token '<unk>' is not a template word")])
+    def test_bad_template_keeps_earlier_out(self, pipeline, tmp_path, capsys, monkeypatch,
+                                            template, named):
+        data_dir, run_dir = pipeline
+        out = tmp_path / "preds.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+        decoded = []
+        monkeypatch.setattr(cli.TwoStageModel, "generate", lambda *a, **k: decoded.append(1))
+        assert run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                   "--input", str(data_dir / "test.jsonl"), "--out", str(out),
+                   "--template", template) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(cli.ERROR_PREFIX) and len(err.splitlines()) == 1
+        assert named in err
+        assert decoded == [] and out.read_bytes() == b"old\n"
+
     def test_beam_mode_parses(self, pipeline, tmp_path):
         data_dir, run_dir = pipeline
         out = tmp_path / "preds.jsonl"

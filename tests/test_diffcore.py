@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typedesc import diffcore as dc
+from typedesc import stage1
 from typedesc.errors import CheckpointError, ShapeMismatch, TypedescError
 from typedesc.stage1 import ModelDims
 from typedesc.trainer import TrainConfig, TwoStageModel
@@ -235,6 +236,40 @@ class TestRowBlocks:
         w, x = rng.normal(size=(6, 9)), rng.normal(size=9)
         row = dc.linear(dc.Tensor(x[None]), dc.Tensor(w)).data
         assert row.shape == (1, 6) and np.array_equal(row[0], w @ x)
+
+    @staticmethod
+    def one_row_case(op, rng):
+        """fn(*inputs) -> the op's output, its vector inputs and its other parents."""
+        if op == "matmul":
+            a = param(rng, 5, 7)
+            return lambda b: dc.matmul(a, b), [param(rng, 7)], [a]
+        if op == "linear":
+            w = param(rng, 5, 7)
+            return lambda x: dc.linear(x, w), [param(rng, 7)], [w]
+        if op == "affine":
+            ws, xs, b = random_affine(rng, 3, 0)
+            return lambda *x: dc.affine(ws, list(x), b), xs, [*ws, b]
+        if op == "attend_general":
+            states, w = param(rng, 4, 5), param(rng, 5, 5)
+            return lambda s: stage1.attend_general(states, s, w)[0], [param(rng, 5)], [states, w]
+        w = random_gru(rng, 5, 4)
+        return lambda x, h: dc.gru_cell(x, h, w), [param(rng, 5), param(rng, 4)], list(w)
+
+    @pytest.mark.parametrize("op", ["matmul", "linear", "affine", "attend_general", "gru_cell"])
+    def test_one_row_block_is_the_vector_bitwise(self, op):
+        # matmul's block is its 1-d b as one column; the other ops take one row
+        rng = np.random.default_rng(35)
+        fn, inputs, others = self.one_row_case(op, rng)
+        blocks = [dc.Tensor(x.data[:, None] if op == "matmul" else x.data[None],
+                            requires_grad=True) for x in inputs]
+        vec, block = fn(*inputs).data, fn(*blocks).data
+        assert block.ndim == 2 and np.array_equal(block.reshape(vec.shape), vec)
+        probe = rng.normal(size=vec.shape)
+        want = grads_of(lambda: (fn(*inputs) * dc.Tensor(probe)).sum(), [*inputs, *others])
+        got = grads_of(lambda: (fn(*blocks) * dc.Tensor(probe.reshape(block.shape))).sum(),
+                       [*blocks, *others])
+        for g, r in zip(got, want):
+            assert np.array_equal(g.reshape(r.shape), r)
 
     def test_gru_cell_block_rows_are_cells(self):
         rng = np.random.default_rng(33)

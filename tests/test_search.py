@@ -27,6 +27,24 @@ class TestGreedy:
         ids = search.greedy(step_fn(table), 0, bos_id=0, eos_id=EOS, max_len=3)
         assert ids == [0, 0, 0]
 
+    def test_breaks_an_exact_tie_as_width_one_beam_does(self):
+        ties = [0.1, 0.35, 0.1, 0.35, 0.1]   # tokens 1 and 3, for the first two tokens
+        stop = [0.05, 0.05, 0.45, 0.05, 0.45]  # then eos and token 4
+
+        def make_step(calls):
+            def step(prev_ids, states):
+                calls.append(list(prev_ids))
+                row = ties if states[0] < 2 else stop
+                return np.log(np.asarray([row])), [s + 1 for s in states]
+            return step
+
+        greedy_calls, beam_calls = [], []
+        ids = search.greedy(make_step(greedy_calls), 0, bos_id=9, eos_id=EOS, max_len=10)
+        assert ids == [1, 1]  # the lowest id of each tie, eos before token 4
+        assert search.beam(make_step(beam_calls), 0, 9, EOS, 10, width=1) == ids
+        # one step call per emitted token, plus the step that emits eos
+        assert greedy_calls == beam_calls == [[9], [1], [1]]
+
 
 class TestBeam:
     def test_width_one_equals_greedy(self):
