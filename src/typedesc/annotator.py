@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lexicon
-from .errors import AnnotationError
+from .errors import TypedescError
 from .lexicon import HED, MOD
 
 HEAD = "HEAD"
@@ -54,7 +54,7 @@ def _content_runs(tokens, start, stop):
 def annotate(tokens: list[str]) -> Annotation:
     """Assign HEAD/MODIFIER/FUNCTION roles and emit the head-modifier template."""
     if not tokens:
-        raise AnnotationError("cannot annotate an empty description")
+        raise TypedescError("cannot annotate an empty description")
 
     roles = [FUNCTION if lexicon.is_function(t) else MODIFIER for t in tokens]
 
@@ -111,12 +111,12 @@ def apply_template(template: list[str], heads: list[str], modifiers: list[str]) 
             try:
                 out.append(next(head_iter))
             except StopIteration:
-                raise AnnotationError(f"template slot {i}: no head available") from None
+                raise TypedescError(f"template slot {i}: no head available") from None
         elif tok == MOD:
             try:
                 out.append(next(mod_iter))
             except StopIteration:
-                raise AnnotationError(f"template slot {i}: no modifier available") from None
+                raise TypedescError(f"template slot {i}: no modifier available") from None
         else:
             out.append(tok)
     return out

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import lexicon
 from .diffcore import atomic_write
-from .errors import CorpusError
+from .errors import TypedescError
 from .lexicon import BOS, EOS, HED, MOD, PAD, UNK
 
 RESERVED_WORDS = (PAD, UNK, BOS, EOS)
@@ -94,7 +94,7 @@ class VocabSet:
         for attr, tokens in REQUIRED_TOKENS.items():
             for token in tokens:
                 if token not in getattr(self, attr):
-                    raise CorpusError(f"{attr} lacks the reserved token '{token}'")
+                    raise TypedescError(f"{attr} lacks the reserved token '{token}'")
         self.target_itos = _itos(self.target_vocab)
         self.template_itos = _itos(self.template_vocab)
 
@@ -133,8 +133,8 @@ def read_lines(path) -> list[str]:
         lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusError(f"{'<stdin>' if path is None else path}: line {line}: "
-                          f"not UTF-8 (byte 0x{data[exc.start]:02x})") from None
+        raise TypedescError(f"{'<stdin>' if path is None else path}: line {line}: "
+                            f"not UTF-8 (byte 0x{data[exc.start]:02x})") from None
     return lines[:-1] if lines[-1] == "" else lines  # a final line ending starts no line
 
 
@@ -146,12 +146,12 @@ def read_jsonl(path, keys):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            raise TypedescError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
         if not isinstance(obj, dict):
-            raise CorpusError(f"{path}: line {lineno}: expected a JSON object")
+            raise TypedescError(f"{path}: line {lineno}: expected a JSON object")
         for key in keys:
             if key not in obj:
-                raise CorpusError(f"{path}: line {lineno}: missing key '{key}'")
+                raise TypedescError(f"{path}: line {lineno}: missing key '{key}'")
         yield lineno, obj
 
 
@@ -162,8 +162,8 @@ def json_text(value, path, lineno: int, key: str) -> str:
     """A JSON string or number as text; any other JSON value is an error naming the key."""
     if isinstance(value, str) or type(value) in (int, float):
         return str(value)
-    raise CorpusError(f"{path}: line {lineno}: '{key}' must be a string or a number, "
-                      f"got {_JSON_KINDS[type(value)]}")
+    raise TypedescError(f"{path}: line {lineno}: '{key}' must be a string or a number, "
+                        f"got {_JSON_KINDS[type(value)]}")
 
 
 def load_jsonl(path) -> list[Entity]:
@@ -175,11 +175,11 @@ def load_jsonl(path) -> list[Entity]:
     for lineno, obj in read_jsonl(path, ("entity_id", "label", "description", "statements")):
         raw_statements = obj["statements"]
         if not isinstance(raw_statements, list) or not raw_statements:
-            raise CorpusError(f"{path}: line {lineno}: entity has no statements")
+            raise TypedescError(f"{path}: line {lineno}: entity has no statements")
         statements = []
         for st in raw_statements:
             if not isinstance(st, (list, tuple)) or len(st) != 3:
-                raise CorpusError(
+                raise TypedescError(
                     f"{path}: line {lineno}: statement must be "
                     f"[property_id, property_label, value], got {st!r}")
             pid, plabel, value = (json_text(part, path, lineno, "statements").lower()
@@ -211,7 +211,7 @@ def write_jsonl(path, entities: list[Entity]):
 def filter_entities(entities: list[Entity], min_statements: int) -> list[Entity]:
     """Keep entities with enough statements and a non-empty description, in order."""
     if min_statements < 1:
-        raise CorpusError(f"min_statements must be >= 1, got {min_statements}")
+        raise TypedescError(f"min_statements must be >= 1, got {min_statements}")
     return [e for e in entities
             if len(e.statements) >= min_statements and e.description.strip()]
 
@@ -238,9 +238,9 @@ def build_vocabs(train: list[Entity], value_vocab_size: int, target_vocab_size: 
     lexicographically smaller word.
     """
     if not train:
-        raise CorpusError("cannot build vocabularies from an empty training split")
+        raise TypedescError("cannot build vocabularies from an empty training split")
     if value_vocab_size < len(RESERVED_WORDS) or target_vocab_size < len(RESERVED_WORDS):
-        raise CorpusError(
+        raise TypedescError(
             f"vocab sizes must be >= {len(RESERVED_WORDS)} reserved tokens, "
             f"got value={value_vocab_size} target={target_vocab_size}")
 
@@ -277,7 +277,7 @@ def split_dataset(entities: list[Entity], seed: int) -> DatasetSplit:
     """Deterministic seeded shuffle followed by an 8:1:1 partition."""
     n = len(entities)
     if n < 10:
-        raise CorpusError(f"need at least 10 entities to split, got {n}")
+        raise TypedescError(f"need at least 10 entities to split, got {n}")
     order = list(range(n))
     random.Random(seed).shuffle(order)
     shuffled = [entities[i] for i in order]
@@ -304,8 +304,8 @@ def read_vocab_file(path) -> dict[str, int]:
         first = {}
         for lineno, token in enumerate(lines, start=1):
             if not token.strip():  # before the repeat test: "" twice is a blank, not a repeat
-                raise CorpusError(f"{path}: line {lineno}: blank line where a token belongs")
+                raise TypedescError(f"{path}: line {lineno}: blank line where a token belongs")
             if first.setdefault(token, lineno) != lineno:
-                raise CorpusError(
+                raise TypedescError(
                     f"{path}: line {lineno}: token {token!r} repeats line {first[token]}")
     return vocab

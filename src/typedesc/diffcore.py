@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeMismatch, TrainingDiverged, TypedescError
+from .errors import TrainingDiverged, TypedescError
 
 _GRAD_ENABLED = True
 
@@ -187,7 +187,7 @@ def _binary(name: str, fn, a: Tensor, b: Tensor, grads) -> Tensor:
     try:
         data = fn(a.data, b.data)
     except ValueError:
-        raise ShapeMismatch(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
+        raise TypedescError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
 
     def backprop(g):
         for t, gt in zip((a, b), grads(g)):
@@ -212,7 +212,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a matrix a with a matrix or vector b."""
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
-        raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+        raise TypedescError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def backprop(g):
         _accum_outer(a, g.T, bd.T)
@@ -229,7 +229,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     """
     wd, xd = w.data, x.data
     if wd.ndim != 2 or xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
-        raise ShapeMismatch(f"linear: incompatible shapes {x.shape} and {w.shape}")
+        raise TypedescError(f"linear: incompatible shapes {x.shape} and {w.shape}")
 
     def backprop(g):
         _accum_outer(w, g, xd)
@@ -254,7 +254,7 @@ def affine(ws: list[Tensor], xs: list[Tensor], b: Tensor) -> Tensor:
     for w, x in zip(ws, xs):
         if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != xs[0].data.shape[:-1]
                 or w.data.shape != b.data.shape + x.data.shape[-1:]):
-            raise ShapeMismatch(f"affine: weight {w.shape}, input {x.shape}, bias {b.shape}")
+            raise TypedescError(f"affine: weight {w.shape}, input {x.shape}, bias {b.shape}")
     data = _affine([w.data for w in ws], [x.data for x in xs], b.data)
 
     def backprop(g):
@@ -297,7 +297,7 @@ def attend(states: Tensor, s: Tensor, w: Tensor):
     hd, sd, wd = states.data, s.data, w.data
     if (hd.ndim != 2 or wd.ndim != 2 or sd.ndim not in (1, 2)
             or sd.shape[-1] != wd.shape[1] or wd.shape[0] != hd.shape[1]):
-        raise ShapeMismatch(f"attend: states {states.shape}, query {s.shape}, "
+        raise TypedescError(f"attend: states {states.shape}, query {s.shape}, "
                             f"weight {w.shape}")
     context, saved = _attend(hd, sd, wd)
 
@@ -314,24 +314,23 @@ def attend(states: Tensor, s: Tensor, w: Tensor):
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose expects a matrix, got shape {a.shape}")
+        raise TypedescError(f"transpose expects a matrix, got shape {a.shape}")
     return _make(a.data.T, (a,), lambda g: _accum(a, g.T))
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: list[Tensor]) -> Tensor:
+    """Join along the last axis: vectors end to end, or blocks row by row."""
     try:
-        data = np.concatenate([p.data for p in parts], axis=axis)
+        data = np.concatenate([p.data for p in parts], axis=-1)
     except ValueError:
         shapes = [p.shape for p in parts]
-        raise ShapeMismatch(f"concat: incompatible shapes {shapes}") from None
+        raise TypedescError(f"concat: incompatible shapes {shapes}") from None
 
     def backprop(g):
         offset = 0
         for p in parts:
-            size = p.data.shape[axis]
-            sl = [slice(None)] * data.ndim
-            sl[axis] = slice(offset, offset + size)
-            _accum(p, g[tuple(sl)])
+            size = p.data.shape[-1]
+            _accum(p, g[..., offset:offset + size])
             offset += size
 
     return _make(data, tuple(parts), backprop)
@@ -378,7 +377,7 @@ def scatter_add(base: Tensor, src: Tensor, index, size: int) -> Tensor:
     idx = np.asarray(index)
     if (base.data.ndim not in (1, 2) or base.shape[-1] > size or idx.ndim != 1
             or src.shape != base.shape[:-1] + idx.shape):
-        raise ShapeMismatch(f"scatter_add: base {base.shape} into size {size}, src {src.shape}, "
+        raise TypedescError(f"scatter_add: base {base.shape} into size {size}, src {src.shape}, "
                             f"index {idx.shape}")
     n = base.data.shape[-1]
     data = np.zeros(base.shape[:-1] + (size,), dtype=np.float64)
@@ -411,7 +410,7 @@ def cross_entropy(dist: Tensor, target: int, from_logits: bool = True) -> Tensor
     overflow; with probabilities, takes -log(p[target]) directly.
     """
     if dist.data.ndim != 1:
-        raise ShapeMismatch(f"cross_entropy expects a vector, got shape {dist.shape}")
+        raise TypedescError(f"cross_entropy expects a vector, got shape {dist.shape}")
     if not 0 <= target < dist.data.shape[0]:
         raise TypedescError(f"cross_entropy: target {target} out of range for shape {dist.shape}")
     x = dist.data
@@ -520,7 +519,7 @@ def gru_sequence(xs: Tensor, h0: Tensor, w: GRUWeights, reverse: bool = False) -
     reading row t; with `reverse` the steps read the rows last to first.
     """
     if xs.data.ndim != 2:
-        raise ShapeMismatch(f"gru_sequence expects a matrix of inputs, got shape {xs.shape}")
+        raise TypedescError(f"gru_sequence expects a matrix of inputs, got shape {xs.shape}")
     inputs = xs.data[::-1] if reverse else xs.data
     az = inputs @ w.wz.data.T + w.bz.data
     ar = inputs @ w.wr.data.T + w.br.data
@@ -596,7 +595,7 @@ class Adam:
 
     def step(self):
         """One update. Once the running sum of squares of the gradients (`np.vdot`,
-        global_grad_norm's sum in its order) is not finite, TrainingDiverged names
+        clip_gradients' sum in its order) is not finite, TrainingDiverged names
         the parameter then reached, before any parameter, moment or `t` moves.
 
         Each parameter takes the textbook expressions in their usual order,
@@ -645,21 +644,17 @@ class Adam:
             p.grad = None
 
 
-def global_grad_norm(params: dict) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.vdot(p.grad, p.grad))
-    return float(np.sqrt(total))
-
-
 def clip_gradients(params: dict, max_norm: float) -> float:
     """Scale all gradients so the global norm is at most max_norm; returns the norm.
 
     A norm that is not finite scales nothing: `Adam.step` sums the same squares
     and rejects the gradients, which scaled by max_norm / inf would read 0 and pass.
     """
-    norm = global_grad_norm(params)
+    total = 0.0
+    for p in params.values():
+        if p.grad is not None:
+            total += float(np.vdot(p.grad, p.grad))
+    norm = float(np.sqrt(total))
     if max_norm < norm < math.inf:
         scale = max_norm / norm
         for p in params.values():
@@ -754,7 +749,7 @@ def save_checkpoint(path, params: dict):
 
 
 def load_checkpoint(path, into: dict | None = None) -> dict:
-    """Parameters of a checkpoint; any short read or trailing byte is a CheckpointError.
+    """Parameters of a checkpoint; any short read or trailing byte is a TypedescError.
 
     With `into`, a dict of tensors such as a freshly built model's, the checkpoint must
     hold exactly its names and shapes and is read into its arrays (partly, on an error).
@@ -762,7 +757,7 @@ def load_checkpoint(path, into: dict | None = None) -> dict:
 
     def need(n: int):
         if n > size - fh.tell():
-            raise CheckpointError(f"{path}: checkpoint is truncated")
+            raise TypedescError(f"{path}: checkpoint is truncated")
 
     def unpack(fmt: str):
         need(struct.calcsize(fmt))
@@ -771,10 +766,10 @@ def load_checkpoint(path, into: dict | None = None) -> dict:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a typedesc checkpoint")
+            raise TypedescError(f"{path}: not a typedesc checkpoint")
         (version,) = unpack("<I")
         if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
+            raise TypedescError(
                 f"{path}: checkpoint version {version}, this build reads version "
                 f"{CHECKPOINT_VERSION}")
         (count,) = unpack("<I")
@@ -785,19 +780,19 @@ def load_checkpoint(path, into: dict | None = None) -> dict:
             try:
                 name = fh.read(name_len).decode("utf-8")
             except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
+                raise TypedescError(f"{path}: parameter name is not UTF-8") from None
             (ndim,) = unpack("<B")
             shape = unpack(f"<{ndim}I")
             need(8 * math.prod(shape))
             if name in params:
-                raise CheckpointError(f"{path}: parameter '{name}' appears twice")
+                raise TypedescError(f"{path}: parameter '{name}' appears twice")
             if into is None:
                 params[name] = Tensor(np.empty(shape), requires_grad=True)
             elif name not in into:
-                raise CheckpointError(f"{path}: parameter '{name}' is not in the model")
+                raise TypedescError(f"{path}: parameter '{name}' is not in the model")
             elif into[name].shape != shape:
-                raise CheckpointError(f"{path}: parameter '{name}' has shape {shape}, "
-                                      f"the model's has {into[name].shape}")
+                raise TypedescError(f"{path}: parameter '{name}' has shape {shape}, "
+                                    f"the model's has {into[name].shape}")
             else:
                 params[name] = into[name]
             arr = params[name].data
@@ -805,8 +800,8 @@ def load_checkpoint(path, into: dict | None = None) -> dict:
             if sys.byteorder == "big":  # payloads are little-endian
                 arr.byteswap(inplace=True)
         if fh.tell() != size:
-            raise CheckpointError(f"{path}: trailing bytes after the last parameter")
+            raise TypedescError(f"{path}: trailing bytes after the last parameter")
         missing = sorted(set(into or ()) - set(params))
         if missing:
-            raise CheckpointError(f"{path}: checkpoint lacks parameters {missing[:5]}")
+            raise TypedescError(f"{path}: checkpoint lacks parameters {missing[:5]}")
         return params

@@ -2,23 +2,7 @@
 
 
 class TypedescError(ValueError):
-    """Base class for all domain errors raised by typedesc."""
-
-
-class CorpusError(TypedescError):
-    """Malformed corpus input or an operation on an unusable corpus."""
-
-
-class AnnotationError(TypedescError):
-    """Annotation or template application failed."""
-
-
-class ShapeMismatch(TypedescError):
-    """Tensor operands have incompatible shapes."""
-
-
-class CheckpointError(TypedescError):
-    """Checkpoint file is unreadable or has the wrong version."""
+    """Malformed input or an unusable state; `cli.main` reports it as one error line."""
 
 
 class TrainingDiverged(TypedescError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import annotator, lexicon
 from .corpus import TYPE_PROPERTY_IDS, Entity, json_text, load_jsonl, read_jsonl, tokenize
-from .errors import CorpusError, TypedescError
+from .errors import TypedescError
 
 ROUGE_BETA = 1.2
 COPY_PREFIX_LEN = 4  # characters a copied word shares with a source word
@@ -119,7 +119,7 @@ def corpus_copy_ratio(entities: list[Entity]) -> float:
             if is_copied(tok, source_words):
                 copied += 1
     if total == 0:
-        raise CorpusError("no non-stopword description tokens in the corpus")
+        raise TypedescError("no non-stopword description tokens in the corpus")
     return copied / total
 
 

@@ -71,7 +71,7 @@ def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet, params: dict) ->
         embedding_lookup(params["enc.prop_emb"],
                          [vocabs.property_id(t.property) for t in tokens]),
         embedding_lookup(params["enc.pos_emb"], [t.position for t in tokens]),
-    ], axis=1)
+    ])
     states = gru_sequence(xs, zeros(gru.uz.data.shape[0]), gru)
     return EncoderOutput(states=states, final=embedding_lookup(states, len(tokens) - 1))
 
@@ -103,7 +103,7 @@ def check_ids(ids, size: int, what: str):
 def _step_logits(t_prev_id, s_prev: Tensor, enc: EncoderOutput, params: dict):
     check_ids(t_prev_id, params["s1.tmpl_emb"].data.shape[0], "template")
     context, _ = attend_general(enc.states, s_prev, params["s1.attn.w"])
-    x = concat([embedding_lookup(params["s1.tmpl_emb"], t_prev_id), context], axis=-1)
+    x = concat([embedding_lookup(params["s1.tmpl_emb"], t_prev_id), context])
     s_next = gru_cell(x, s_prev, gru_weights(params, "s1.gru"))
     logits = affine([params["s1.out.w"]], [s_next], params["s1.out.b"])
     return logits, s_next

@@ -117,8 +117,7 @@ def encode_template(template_tokens: list[str], vocabs: VocabSet, params: dict) 
     fw = gru_weights(params, "s2.fw")
     bw = gru_weights(params, "s2.bw")
     h0 = zeros(fw.uz.data.shape[0])
-    both = concat([gru_sequence(embs, h0, fw), gru_sequence(embs, h0, bw, reverse=True)],
-                  axis=1)
+    both = concat([gru_sequence(embs, h0, fw), gru_sequence(embs, h0, bw, reverse=True)])
     states = matmul(both, transpose(params["s2.proj.w"])) + params["s2.proj.b"]
     return EncoderOutput(states=states,
                          final=embedding_lookup(states, len(template_tokens) - 1))
@@ -160,7 +159,7 @@ def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
     over per-position source scores, positions of the same word summed. A
     sigmoid MLP switch supplies the mixture weight.
     """
-    sc = concat([s_j, c2], axis=-1)
+    sc = concat([s_j, c2])
     p_gen = softmax(affine([params["s2.gen.w"]], [sc], params["s2.gen.b"]))
     hidden = tanh(affine([params["s2.switch.w1"]], [sc], params["s2.switch.b1"]))
     p_z = sigmoid(affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"]))  # (..., 1)
@@ -183,7 +182,7 @@ def description_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
     c_t, _ = attend_general(template_enc.states, s_prev, params["s2.attn_t.w"])
     g_x, g_t = context_gates(y_emb, s_prev, c_x, c_t, params)
     c2 = fuse_contexts(y_emb, s_prev, c_x, c_t, g_x, g_t, params)
-    s_j = gru_cell(concat([y_emb, c2], axis=-1), s_prev, gru_weights(params, "s2.gru"))
+    s_j = gru_cell(concat([y_emb, c2]), s_prev, gru_weights(params, "s2.gru"))
     dist = copy_gen_distribution(s_j, c2, enc.states, extvocab, params)
     return dist, s_j
 

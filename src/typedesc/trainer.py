@@ -91,7 +91,10 @@ class TwoStageModel:
                  template_override: list[str] | None = None,
                  max_template_len: int = stage1.MAX_TEMPLATE_LEN,
                  max_description_len: int = stage2.MAX_DESCRIPTION_LEN):
-        """Run both stages without a tape; returns (template tokens, description tokens)."""
+        """Run both stages without a tape; returns (template tokens, description tokens).
+
+        An empty template (stage 1 stopped at once) conditions stage 2 on `$hed$`.
+        """
         with no_grad():
             source, enc = self.encode_entity(entity)
             if template_override is not None:
@@ -99,9 +102,7 @@ class TwoStageModel:
             else:
                 template = stage1.generate_template(enc, self.vocabs, self.params,
                                                     max_template_len, mode, beam_width)
-            if not template:
-                template = [HED]  # stage 2 needs a non-empty template to condition on
-            template_enc = stage2.encode_template(template, self.vocabs, self.params)
+            template_enc = stage2.encode_template(template or [HED], self.vocabs, self.params)
             extvocab = stage2.ExtendedVocab(self.vocabs, source)
             description = stage2.decode_description(enc, template_enc, extvocab, self.params,
                                                     max_description_len, mode, beam_width)

@@ -8,7 +8,7 @@ import synthdata
 from typedesc.annotator import (HEAD, MODIFIER, annotate, apply_template,
                                 extract_heads)
 from typedesc.corpus import tokenize
-from typedesc.errors import AnnotationError
+from typedesc.errors import TypedescError
 from typedesc.lexicon import HED, MOD, PUNCTUATION_TOKENS, STOPWORDS, is_function
 
 # arbitrary description text: function words, punctuation, content words and junk
@@ -59,7 +59,7 @@ class TestAnnotate:
         assert ann.template == ["of", "the"]
 
     def test_empty_rejected(self):
-        with pytest.raises(AnnotationError):
+        with pytest.raises(TypedescError, match="cannot annotate an empty description"):
             annotate([])
 
     def test_roles_align(self):
@@ -88,11 +88,11 @@ class TestApplyTemplate:
         assert apply_template([HED], ["human"], []) == ["human"]
 
     def test_missing_head_names_slot(self):
-        with pytest.raises(AnnotationError, match="slot 0"):
+        with pytest.raises(TypedescError, match="slot 0"):
             apply_template([HED, "in", MOD], [], ["paris"])
 
     def test_missing_modifier_names_slot(self):
-        with pytest.raises(AnnotationError, match="slot 2"):
+        with pytest.raises(TypedescError, match="slot 2"):
             apply_template([HED, "in", MOD], ["street"], [])
 
 

@@ -14,6 +14,7 @@ from typedesc import diffcore as dc
 from typedesc.config import load_config
 from typedesc.corpus import Entity, write_jsonl
 from typedesc.errors import TypedescError
+from typedesc.lexicon import EOS
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +332,24 @@ class TestGenerateCommand:
                    "--template", "$hed$ in $mod$") == 0
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all(row["template"] == "$hed$ in $mod$" for row in rows)
+
+    def test_empty_template_is_written_as_decoded(self, pipeline, tmp_path):
+        data_dir, run_dir = pipeline
+        eos_run = tmp_path / "run"
+        shutil.copytree(run_dir, eos_run)
+        params = dc.load_checkpoint(eos_run / "checkpoint.bin")
+        eos = corpus.read_vocab_file(eos_run / "template_vocab.txt")[EOS]
+        params["s1.out.b"].data[eos] = 1e3  # stage 1 stops at its first step
+        dc.save_checkpoint(eos_run / "checkpoint.bin", params)
+        rows = {}
+        for name, flags in (("decoded", ()), ("forced", ("--template", "$hed$"))):
+            out = tmp_path / f"{name}.jsonl"
+            assert run("generate", "--checkpoint", str(eos_run / "checkpoint.bin"),
+                       "--input", str(data_dir / "test.jsonl"), "--out", str(out), *flags) == 0
+            rows[name] = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["template"] for row in rows["decoded"]] == ["", ""]
+        assert ([row["hypothesis"] for row in rows["decoded"]]
+                == [row["hypothesis"] for row in rows["forced"]])
 
     @pytest.mark.parametrize("template,named", [
         ("", "--template is blank"), (" ", "--template is blank"),

@@ -13,7 +13,7 @@ from typedesc.config import RunConfig
 from typedesc.corpus import (Entity, build_vocabs, filter_entities, load_jsonl,
                              read_vocab_file, reconstruct_infobox, split_dataset, tokenize,
                              write_jsonl)
-from typedesc.errors import CorpusError
+from typedesc.errors import TypedescError
 from typedesc.lexicon import BOS, DETACHABLE_PUNCTUATION, EOS, HED, MOD, UNK
 from typedesc.metrics import corpus_copy_ratio
 
@@ -84,13 +84,13 @@ class TestLoadJsonl:
         for bad in ("{broken", "3", '["entity_id", "label", "description", "statements"]'):
             write_lines(path, ['{"entity_id": "Q1", "label": "x", "description": "d", '
                                '"statements": [["p1", "p", "v"]]}', bad])
-            with pytest.raises(CorpusError, match="line 2"):
+            with pytest.raises(TypedescError, match="line 2"):
                 load_jsonl(path)
 
     def test_missing_key_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_lines(path, ['{"entity_id": "Q1", "label": "x", "statements": []}'])
-        with pytest.raises(CorpusError, match="description"):
+        with pytest.raises(TypedescError, match="description"):
             load_jsonl(path)
 
     @pytest.mark.parametrize("key,value", [
@@ -104,14 +104,14 @@ class TestLoadJsonl:
         bad = {**good, key: [["p1", "p", value]] if key == "statements" else value}
         path = tmp_path / "bad.jsonl"
         write_lines(path, [json.dumps(good), json.dumps(bad)])
-        with pytest.raises(CorpusError, match=rf"bad\.jsonl: line 2: '{key}' must be a string"):
+        with pytest.raises(TypedescError, match=rf"bad\.jsonl: line 2: '{key}' must be a string"):
             load_jsonl(path)
 
     def test_entity_without_statements_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_lines(path, ['{"entity_id": "Q1", "label": "x", "description": "d", '
                            '"statements": []}'])
-        with pytest.raises(CorpusError, match="no statements"):
+        with pytest.raises(TypedescError, match="no statements"):
             load_jsonl(path)
 
 
@@ -127,13 +127,13 @@ def test_failed_write_jsonl_keeps_earlier_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def _calls_by_function(tree):
-    """(top-level function or method name, call) for every call in a module."""
+def _nodes_by_function(tree, kind):
+    """(top-level function or method name, node) for every `kind` node in a module."""
     for top in tree.body:
         for node in top.body if isinstance(top, ast.ClassDef) else [top]:
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call):
-                    yield getattr(node, "name", "<module>"), call
+            for found in ast.walk(node):
+                if isinstance(found, kind):
+                    yield getattr(node, "name", "<module>"), found
 
 
 def test_files_are_read_and_written_in_one_place():
@@ -143,7 +143,8 @@ def test_files_are_read_and_written_in_one_place():
     """
     writes, decodes = [], []
     for path in sorted(Path(typedesc.__file__).parent.glob("*.py")):
-        for func, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, call in _nodes_by_function(tree, ast.Call):
             where = (path.stem, func)
             name = getattr(call.func, "attr", getattr(call.func, "id", None))
             owner = getattr(getattr(call.func, "value", None), "id", None)
@@ -162,6 +163,26 @@ def test_files_are_read_and_written_in_one_place():
     assert [d for d in decodes if d != ("diffcore", "load_checkpoint")] == [("corpus", "read_lines")]
 
 
+def test_only_the_two_error_types_are_raised():
+    """Every raise in the package is bare or raises TypedescError or TrainingDiverged, the
+    two classes errors.py defines, so `cli.main` reports every one of them as one error line.
+
+    The exception is cli.entry, which raises SystemExit with main's exit status.
+    """
+    package = Path(typedesc.__file__).parent
+    others = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, node in _nodes_by_function(tree, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if exc is not None and ast.unparse(exc) not in ("TypedescError", "TrainingDiverged"):
+                others.append((path.stem, func, ast.unparse(exc)))
+    assert others == [("cli", "entry", "SystemExit")]
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    assert ([node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+            == ["TypedescError", "TrainingDiverged"])
+
+
 class TestFilterEntities:
     def test_boundary(self):
         ents = [entity(4, eid="Q4"), entity(5, eid="Q5")]
@@ -177,7 +198,7 @@ class TestFilterEntities:
         assert [e.entity_id for e in filter_entities(ents, 5)] == ["Q2"]
 
     def test_invalid_min(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(TypedescError, match="min_statements must be >= 1, got 0"):
             filter_entities([], 0)
 
 
@@ -240,7 +261,8 @@ class TestBuildVocabs:
         assert "country" in vocabs.property_vocab
 
     def test_size_below_reserved_rejected(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(TypedescError, match="vocab sizes must be >= 4 reserved tokens, "
+                                                "got value=3 target=64"):
             build_vocabs([entity(5)], 3, 64, MAX_POSITION)
 
     def test_deterministic(self):
@@ -255,14 +277,14 @@ class TestVocabFiles:
     def test_repeated_token_names_both_lines(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("<pad>\n<unk>\nstreet\nlake\nstreet\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match=r"v\.txt: line 5: token 'street' repeats line 3"):
+        with pytest.raises(TypedescError, match=r"v\.txt: line 5: token 'street' repeats line 3"):
             read_vocab_file(path)
 
     def test_blank_line_named_before_any_repeat(self, tmp_path):
         path = tmp_path / "v.txt"
         # a whitespace-only line, then two empty ones that would also repeat
         path.write_text("<pad>\n<unk>\n \nstreet\n\n\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match=r"v\.txt: line 3: blank line"):
+        with pytest.raises(TypedescError, match=r"v\.txt: line 3: blank line"):
             read_vocab_file(path)
 
     @pytest.mark.parametrize("attr,token", [("value_vocab", UNK), ("property_vocab", UNK),
@@ -272,7 +294,7 @@ class TestVocabFiles:
     def test_missing_reserved_token_rejected(self, attr, token):
         vocabs = build_vocabs([entity(5)], 64, 64, MAX_POSITION)
         kept = [w for w in getattr(vocabs, attr) if w != token]
-        with pytest.raises(CorpusError, match=f"{attr} lacks the reserved token '{token}'"):
+        with pytest.raises(TypedescError, match=f"{attr} lacks the reserved token '{token}'"):
             replace(vocabs, **{attr: {w: i for i, w in enumerate(kept)}})
 
 
@@ -305,7 +327,7 @@ class TestSplitDataset:
         assert (len(split.train), len(split.valid), len(split.test)) == (1600, 200, 200)
 
     def test_too_small(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(TypedescError, match="need at least 10 entities to split, got 9"):
             split_dataset([entity(5, eid="Q%d" % i) for i in range(9)], seed=0)
 
 
@@ -319,7 +341,7 @@ class TestCorpusCopyRatio:
 
     def test_stopword_only_corpus_rejected(self):
         ent = Entity("Q1", "l", "of the", [("p1", "a", "x")])
-        with pytest.raises(CorpusError):
+        with pytest.raises(TypedescError, match="no non-stopword description tokens"):
             corpus_copy_ratio([ent])
 
     def test_range(self):
