@@ -4,11 +4,13 @@ A deliberately small engine: numpy holds the arrays, each op records its
 parents and a backward closure, and `Tensor.backward()` walks the tape in
 reverse topological order, then forms each parameter's weight gradient from
 the rows every step sent it as one matrix product. Covers exactly the ops
-the two-stage generator needs, with three fused ones, each one node with an
-analytic backward written on raw arrays: an affine sum of several products
-and a bias (`affine`), general-product attention (`attend`) and a GRU step
-or sequence (`gru_cell`, `gru_sequence`). Plus Adam, finite-difference
-gradient checking and a binary checkpoint format.
+the two-stage generator needs, with no general matrix product. A weight
+product is `linear` (w x, or w applied to each row of a block) or part of
+one of three fused ops, each one node with an analytic backward written on
+raw arrays: an affine sum of several products and a bias (`affine`),
+general-product attention (`attend`) and a GRU step or sequence
+(`gru_cell`, `gru_sequence`). Plus Adam, finite-difference gradient
+checking and a binary checkpoint format.
 """
 
 from __future__ import annotations
@@ -208,24 +210,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", np.multiply, a, b, lambda g: (g * b.data, g * a.data))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a matrix a with a matrix or vector b."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
-        raise TypedescError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-    def backprop(g):
-        _accum_outer(a, g.T, bd.T)
-        _accum(b, ad.T @ g)
-
-    return _make(ad @ bd, (a, b), backprop)
-
-
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """w x for a vector x, or w applied to each row of a block x, as one node.
 
-    Computed as (w x^T)^T, so a vector or a one-row block takes exactly the
-    product `matmul(w, x)` takes; the parents are (w, x), matmul's order.
+    Computed as (w x^T)^T, so a vector and a one-row block take the same product.
     """
     wd, xd = w.data, x.data
     if wd.ndim != 2 or xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:

@@ -93,15 +93,7 @@ def init_decoder_state(final: Tensor, params: dict) -> Tensor:
     return tanh(affine([params["s1.init.w"]], [final], params["s1.init.b"]))
 
 
-def check_ids(ids, size: int, what: str):
-    """Raise on the first id of an id or id array outside [0, size)."""
-    for i in np.ravel(ids).tolist():
-        if not 0 <= i < size:
-            raise TypedescError(f"unknown {what} token id {i}")
-
-
 def _step_logits(t_prev_id, s_prev: Tensor, enc: EncoderOutput, params: dict):
-    check_ids(t_prev_id, params["s1.tmpl_emb"].data.shape[0], "template")
     context, _ = attend_general(enc.states, s_prev, params["s1.attn.w"])
     x = concat([embedding_lookup(params["s1.tmpl_emb"], t_prev_id), context])
     s_next = gru_cell(x, s_prev, gru_weights(params, "s1.gru"))

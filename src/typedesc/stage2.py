@@ -13,11 +13,11 @@ import numpy as np
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, affine, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_sequence, gru_weights, init_gru, linear, matmul, scatter_add,
-                       sigmoid, softmax, tanh, transpose, uniform_param, zeros)
+                       gru_sequence, gru_weights, init_gru, linear, scatter_add, sigmoid,
+                       softmax, tanh, transpose, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS, UNK
-from .stage1 import EncoderOutput, ModelDims, attend_general, check_ids
+from .stage1 import EncoderOutput, ModelDims, attend_general
 
 MAX_DESCRIPTION_LEN = 24  # description words decoded before stopping without eos
 
@@ -118,7 +118,7 @@ def encode_template(template_tokens: list[str], vocabs: VocabSet, params: dict) 
     bw = gru_weights(params, "s2.bw")
     h0 = zeros(fw.uz.data.shape[0])
     both = concat([gru_sequence(embs, h0, fw), gru_sequence(embs, h0, bw, reverse=True)])
-    states = matmul(both, transpose(params["s2.proj.w"])) + params["s2.proj.b"]
+    states = affine([params["s2.proj.w"]], [both], params["s2.proj.b"])
     return EncoderOutput(states=states,
                          final=embedding_lookup(states, len(template_tokens) - 1))
 
@@ -164,7 +164,7 @@ def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
     hidden = tanh(affine([params["s2.switch.w1"]], [sc], params["s2.switch.b1"]))
     p_z = sigmoid(affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"]))  # (..., 1)
 
-    copy_keys = tanh(matmul(enc_states, params["s2.copy.w"]) + params["s2.copy.b"])
+    copy_keys = tanh(affine([transpose(params["s2.copy.w"])], [enc_states], params["s2.copy.b"]))
     copy_scores = linear(s_j, copy_keys)
     copy_probs = (1.0 - p_z) * softmax(copy_scores)
     return scatter_add(p_z * p_gen, copy_probs, extvocab.position_ids, extvocab.size)
@@ -176,7 +176,6 @@ def description_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
 
     Takes an id and a state vector, or an id array and a block of rows.
     """
-    check_ids(y_prev_id, params["s2.word_emb"].data.shape[0], "target")
     y_emb = embedding_lookup(params["s2.word_emb"], y_prev_id)
     c_x, _ = attend_general(enc.states, s_prev, params["s2.attn_x.w"])
     c_t, _ = attend_general(template_enc.states, s_prev, params["s2.attn_t.w"])

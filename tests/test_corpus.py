@@ -183,6 +183,33 @@ def test_only_the_two_error_types_are_raised():
             == ["TypedescError", "TrainingDiverged"])
 
 
+def test_every_public_diffcore_name_has_a_caller():
+    """Every public top-level function or class of diffcore is referenced in the package
+    or in bench/*.py outside its own definition, by name or as `diffcore.<name>`.
+
+    The exception is grad_check, the finite-difference reference of the gradient tests.
+    """
+    source = Path(typedesc.__file__).parent / "diffcore.py"
+    public = {node.name for node in ast.parse(source.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    used = set()
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    for path in sorted(source.parent.glob("*.py")) + sorted(bench.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "diffcore"):
+                    name = node.attr
+                else:
+                    continue
+                if path != source or getattr(top, "name", None) != name:
+                    used.add(name)
+    assert sorted(public - used) == ["grad_check"]
+
+
 class TestFilterEntities:
     def test_boundary(self):
         ents = [entity(4, eid="Q4"), entity(5, eid="Q5")]

@@ -37,11 +37,6 @@ class TestForwardValues:
             assert abs(out.data.sum() - 1.0) < 1e-9
             assert np.all(out.data >= 0)
 
-    def test_matmul_identity(self):
-        m = dc.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = dc.matmul(dc.Tensor(np.eye(2)), m)
-        np.testing.assert_allclose(out.data, m.data)
-
     def test_sigmoid_zero(self):
         assert dc.sigmoid(dc.Tensor(np.zeros(3))).data[0] == 0.5
 
@@ -49,7 +44,7 @@ class TestForwardValues:
         a = dc.Tensor(np.zeros((2, 3)))
         b = dc.Tensor(np.zeros((2, 3)))
         with pytest.raises(TypedescError, match=r"\(2, 3\).*\(2, 3\)"):
-            dc.matmul(a, b)
+            dc.affine([a], [b], dc.Tensor(np.zeros(3)))
 
     @pytest.mark.parametrize("op", [dc.add, dc.sub, dc.mul])
     def test_elementwise_shape_mismatch_names_op_and_shapes(self, op):
@@ -61,10 +56,6 @@ class TestForwardValues:
     def test_scatter_add_rejects_a_base_longer_than_size(self):
         with pytest.raises(TypedescError, match=r"base \(5,\) into size 4"):
             dc.scatter_add(dc.Tensor(np.zeros(5)), dc.Tensor(np.zeros(2)), [0, 1], 4)
-
-    def test_vector_matrix_matmul_rejected(self):
-        with pytest.raises(TypedescError, match=r"\(3,\).*\(3, 4\)"):
-            dc.matmul(dc.Tensor(np.zeros(3)), dc.Tensor(np.zeros((3, 4))))
 
     @pytest.mark.parametrize("size", [4, 64, 256, 10_000])
     def test_sigmoid_matches_the_two_division_form(self, size):
@@ -207,18 +198,6 @@ class TestFusedGRU:
 class TestRowBlocks:
     """linear, gru_cell and scatter_add take a block of rows through the vector code."""
 
-    def test_linear_on_a_vector_is_matmul_bitwise(self):
-        rng = np.random.default_rng(30)
-        w, x = param(rng, 5, 7), param(rng, 7)
-        probe = dc.Tensor(rng.normal(size=5))
-        got = dc.linear(x, w)
-        want = dc.matmul(w, x)
-        assert np.array_equal(got.data, want.data)
-        got_grads = grads_of(lambda: (dc.linear(x, w) * probe).sum(), [w, x])
-        want_grads = grads_of(lambda: (dc.matmul(w, x) * probe).sum(), [w, x])
-        for g, r in zip(got_grads, want_grads):
-            assert np.array_equal(g, r)
-
     def test_linear_gradients_match_finite_differences(self):
         rng = np.random.default_rng(31)
         w, x, xs = param(rng, 3, 4), param(rng, 4), param(rng, 2, 4)
@@ -241,9 +220,6 @@ class TestRowBlocks:
     @staticmethod
     def one_row_case(op, rng):
         """fn(*inputs) -> the op's output, its vector inputs and its other parents."""
-        if op == "matmul":
-            a = param(rng, 5, 7)
-            return lambda b: dc.matmul(a, b), [param(rng, 7)], [a]
         if op == "linear":
             w = param(rng, 5, 7)
             return lambda x: dc.linear(x, w), [param(rng, 7)], [w]
@@ -256,13 +232,11 @@ class TestRowBlocks:
         w = random_gru(rng, 5, 4)
         return lambda x, h: dc.gru_cell(x, h, w), [param(rng, 5), param(rng, 4)], list(w)
 
-    @pytest.mark.parametrize("op", ["matmul", "linear", "affine", "attend_general", "gru_cell"])
+    @pytest.mark.parametrize("op", ["linear", "affine", "attend_general", "gru_cell"])
     def test_one_row_block_is_the_vector_bitwise(self, op):
-        # matmul's block is its 1-d b as one column; the other ops take one row
         rng = np.random.default_rng(35)
         fn, inputs, others = self.one_row_case(op, rng)
-        blocks = [dc.Tensor(x.data[:, None] if op == "matmul" else x.data[None],
-                            requires_grad=True) for x in inputs]
+        blocks = [dc.Tensor(x.data[None], requires_grad=True) for x in inputs]
         vec, block = fn(*inputs).data, fn(*blocks).data
         assert block.ndim == 2 and np.array_equal(block.reshape(vec.shape), vec)
         probe = rng.normal(size=vec.shape)
@@ -373,12 +347,12 @@ def assert_close_relative(got, want, rtol=1e-12):
 class TestDeferredWeightGradients:
     """A parameter's gradient rows are reduced in one product at the end of backward."""
 
-    def test_matmul_over_steps_is_the_sum_of_outer_products(self):
+    def test_linear_over_steps_is_the_sum_of_outer_products(self):
         rng = np.random.default_rng(30)
         w = param(rng, 5, 4)
         xs = [dc.Tensor(rng.normal(size=4)) for _ in range(4)]
         probes = [rng.normal(size=5) for _ in range(4)]
-        dc.add_n([(dc.matmul(w, x) * dc.Tensor(p)).sum() for x, p in zip(xs, probes)]).backward()
+        dc.add_n([(dc.linear(x, w) * dc.Tensor(p)).sum() for x, p in zip(xs, probes)]).backward()
         assert_close_relative(w.grad, outer_sum(probes, [x.data for x in xs]))
 
     def test_unrolled_gru_cell_is_the_sum_of_outer_products(self):
@@ -417,8 +391,9 @@ class TestDeferredWeightGradients:
         w = param(rng, 4, 3)
         x, p = rng.normal(size=3), rng.normal(size=4)
         a, q = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
-        ((dc.matmul(w, dc.Tensor(x)) * dc.Tensor(p)).sum()
-         + (dc.matmul(dc.Tensor(a), w) * dc.Tensor(q)).sum()
+        # a transposed leaf gets its rows at once, through the transpose node
+        ((dc.linear(dc.Tensor(x), w) * dc.Tensor(p)).sum()
+         + (dc.linear(dc.Tensor(a), dc.transpose(w)) * dc.Tensor(q)).sum()
          + (dc.transpose(w) * dc.Tensor(q[:1].T @ p[None])).sum()
          + (dc.embedding_lookup(w, [1, 1]) * dc.Tensor(q)).sum()).backward()
         want = np.outer(p, x) + a.T @ q + p[:, None] @ q[:1]
@@ -430,18 +405,18 @@ class TestDeferredWeightGradients:
         a = param(rng, 3, 4)
         x1, x2 = param(rng, 4), param(rng, 4)
         p = dc.Tensor(rng.normal(size=3))
-        assert dc.grad_check(lambda: ((dc.matmul(dc.tanh(a), x1) + dc.matmul(dc.tanh(a), x2))
+        assert dc.grad_check(lambda: ((dc.linear(x1, dc.tanh(a)) + dc.linear(x2, dc.tanh(a)))
                                       * p).sum(), [a, x1, x2]) < 1e-6
-        # a leaf or non-leaf a times a vector or a matrix: g b^T, exactly
-        for b_shape in ((4,), (4, 5)):
+        # a leaf or non-leaf a applied to a vector or to a block of rows: g^T b, exactly
+        for b_shape in ((4,), (5, 4)):
             b = param(rng, *b_shape)
-            g = rng.normal(size=(3,) + b_shape[1:])
+            g = rng.normal(size=b_shape[:-1] + (3,))
             for left in (a, dc.tanh(a)):
                 left.grad = b.grad = None
-                (dc.matmul(left, b) * dc.Tensor(g)).sum().backward()
-                want = np.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.T
+                (dc.linear(b, left) * dc.Tensor(g)).sum().backward()
+                want = np.outer(g, b.data) if b.data.ndim == 1 else g.T @ b.data
                 assert np.array_equal(left.grad, want)
-                assert np.array_equal(b.grad, left.data.T @ g)
+                assert np.array_equal(b.grad, (left.data.T @ g.T).T)
 
     def test_failed_backward_leaks_no_rows(self, monkeypatch):
         rng = np.random.default_rng(34)
@@ -450,7 +425,7 @@ class TestDeferredWeightGradients:
 
         def loss():
             x = dc.tanh(u)
-            return x, (dc.matmul(w, x) * dc.Tensor(p)).sum()
+            return x, (dc.linear(x, w) * dc.Tensor(p)).sum()
 
         x, failing = loss()
 
@@ -485,13 +460,13 @@ class TestGradCheck:
 
     def test_each_op(self, monkeypatch):
         rng = np.random.default_rng(7)
-        a, b = param(rng, 3, 4), param(rng, 4, 2)
-        m = dc.Tensor(rng.normal(size=(3, 2)))
-        assert dc.grad_check(lambda: (dc.matmul(a, b) * m).sum(), [a, b]) < 1e-6
+        a, b = param(rng, 3, 4), param(rng, 2, 4)
+        m = dc.Tensor(rng.normal(size=(2, 3)))
+        assert dc.grad_check(lambda: (dc.linear(b, a) * m).sum(), [a, b]) < 1e-6
 
         w, x = param(rng, 3, 4), param(rng, 4)
         v = dc.Tensor(rng.normal(size=3))
-        assert dc.grad_check(lambda: (dc.matmul(w, x) * v).sum(), [w, x]) < 1e-6
+        assert dc.grad_check(lambda: (dc.linear(x, w) * v).sum(), [w, x]) < 1e-6
 
         t = param(rng, 6)
         probe = dc.Tensor(rng.normal(size=6))
@@ -551,7 +526,7 @@ class TestBackwardLinearity:
         x2 = dc.Tensor(rng.normal(size=4))
 
         def loss(x):
-            return (dc.tanh(dc.matmul(w, x)) * dc.Tensor(np.ones(4))).sum()
+            return (dc.tanh(dc.linear(x, w)) * dc.Tensor(np.ones(4))).sum()
 
         w.grad = None
         dc.add_n([loss(x1), loss(x2)]).backward()
@@ -721,7 +696,7 @@ class TestNoGrad:
     def test_inference_builds_no_graph(self):
         w = dc.Tensor(np.ones((2, 2)), requires_grad=True)
         with dc.no_grad():
-            out = dc.matmul(w, dc.Tensor(np.ones(2)))
+            out = dc.linear(dc.Tensor(np.ones(2)), w)
         assert out._parents == ()
         assert not out.requires_grad
 

@@ -29,6 +29,20 @@ class TestEncodeTemplate:
         enc = stage2.encode_template([HED], vocabs, model.params)
         assert enc.states.shape == (1, model.dims.d_h)
 
+    def test_three_tokens_make_six_nodes(self, monkeypatch):
+        # lookup, two GRU sequences, concat, the projection as one affine node and
+        # the final row; a projection built from a product, a transpose and an add
+        # node makes 8
+        from test_acceptance import micro_vocabs
+        vocabs = micro_vocabs()
+        model = TwoStageModel.build(stage1.ModelDims(d_h=4, d_word=4, d_prop=3, d_pos=3),
+                                    vocabs, seed=0)
+        made = []
+        real = dc._make
+        monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+        stage2.encode_template([HED, "in", MOD], vocabs, model.params)
+        assert len(made) == 6
+
     def test_empty_rejected(self, setup):
         _, vocabs, model = setup
         with pytest.raises(TypedescError):
@@ -287,12 +301,6 @@ class TestDescriptionStepRows:
                                                    ext, model.params)
             np.testing.assert_allclose(rows.data[i], dist.data, rtol=1e-12, atol=0)
             np.testing.assert_allclose(s_rows.data[i], s_next.data, rtol=1e-12, atol=0)
-
-    def test_block_with_an_unknown_id_rejected(self, setup):
-        vocabs, model, enc, template_enc, ext, states = self.inputs(setup, 2)
-        with pytest.raises(TypedescError, match="unknown target token id 99999"):
-            stage2.description_step(np.array([99999, 2]), dc.Tensor(np.stack(states)), enc,
-                                    template_enc, ext, model.params)
 
 
 class TestDecodeDescription:
