@@ -134,9 +134,20 @@ class TestJointLoss:
 
 def test_joint_loss_node_count(monkeypatch):
     # every GRU call is one graph node; a GRU built from per-op nodes again
-    # (1,030 nodes here) fails this bound. Each affine sum and each attention is
-    # one graph node; building them from linear, add, softmax and transpose nodes
-    # again (462 nodes here) fails it too
+    # (1,030 nodes here) fails this bound
+    from test_acceptance import micro_entity, micro_vocabs
+    model = TwoStageModel.build(stage1.ModelDims(d_h=4, d_word=4, d_prop=3, d_pos=3),
+                                micro_vocabs(), seed=0)
+    made = []
+    real = dc._make
+    monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+    model.joint_loss(micro_entity())
+    assert len(made) <= 474
+
+
+def test_joint_loss_node_count_with_fused_affine_maps_and_attention(monkeypatch):
+    # each affine sum and each attention is one graph node; building them from
+    # linear, add, softmax and transpose nodes again (462 nodes here) fails this bound
     from test_acceptance import micro_entity, micro_vocabs
     model = TwoStageModel.build(stage1.ModelDims(d_h=4, d_word=4, d_prop=3, d_pos=3),
                                 micro_vocabs(), seed=0)
