@@ -6,11 +6,14 @@ reverse topological order, then forms each parameter's weight gradient from
 the rows every step sent it as one matrix product. Covers exactly the ops
 the two-stage generator needs, with no general matrix product. A weight
 product is `linear` (w x, or w applied to each row of a block) or part of
-one of three fused ops, each one node with an analytic backward written on
-raw arrays: an affine sum of several products and a bias (`affine`),
-general-product attention (`attend`) and a GRU step or sequence
-(`gru_cell`, `gru_sequence`). Plus Adam, finite-difference gradient
-checking and a binary checkpoint format.
+one of four fused ops, each one node with an analytic backward written on
+raw arrays: an affine sum of several products and a bias (`affine`), the
+gated fusion of three affine sums (`gated_fusion`), general-product
+attention (`attend`) and a GRU step or sequence (`gru_cell`,
+`gru_sequence`). One more fused node, `copy_mixture`, turns generate
+logits, a switch logit and copy scores into the copy/generate mixture.
+Plus Adam, finite-difference gradient checking and a binary checkpoint
+format.
 """
 
 from __future__ import annotations
@@ -94,12 +97,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, _tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _tensor(other))
 
@@ -144,6 +141,10 @@ def _accum(t: Tensor, g, index=None):
     """Add g into t's gradient, or into its entries at `index` (repeats add up)."""
     if t.requires_grad:
         if t.grad is None:
+            if index is None and g.shape == t.data.shape and t.data.flags.c_contiguous:
+                # 0 + g is g, up to the sign of a zero, in zeros_like's C layout
+                t.grad = g.copy()
+                return
             t.grad = np.zeros_like(t.data)
         if index is None:
             t.grad += g
@@ -202,10 +203,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary("add", np.add, a, b, lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", np.subtract, a, b, lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", np.multiply, a, b, lambda g: (g * b.data, g * a.data))
 
@@ -234,24 +231,59 @@ def _affine(ws, xs, b):
     return out + b
 
 
+def _checked_affine(name: str, ws: list[Tensor], xs: list[Tensor], b: Tensor):
+    """`_affine` of the Tensors' arrays, after the shape checks that `name` reports."""
+    for w, x in zip(ws, xs):
+        if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != xs[0].data.shape[:-1]
+                or w.data.shape != b.data.shape + x.data.shape[-1:]):
+            raise TypedescError(f"{name}: weight {w.shape}, input {x.shape}, bias {b.shape}")
+    return _affine([w.data for w in ws], [x.data for x in xs], b.data)
+
+
+def _affine_backprop(ws: list[Tensor], xs: list[Tensor], b: Tensor, g):
+    """Send g, the gradient of an affine sum, to its weights, inputs and bias."""
+    for w, x in zip(ws, xs):
+        _accum_outer(w, g, x.data)
+        _accum(x, (w.data.T @ g.T).T)
+    _accum(b, _unbroadcast(g, b.data.shape))
+
+
 def affine(ws: list[Tensor], xs: list[Tensor], b: Tensor) -> Tensor:
     """w_1 x_1 + ... + w_n x_n + b for vectors x_i, or for blocks of rows, as one node.
 
     The values are those of the chain of `linear` and `add` nodes it replaces.
     """
-    for w, x in zip(ws, xs):
-        if (x.data.ndim not in (1, 2) or x.data.shape[:-1] != xs[0].data.shape[:-1]
-                or w.data.shape != b.data.shape + x.data.shape[-1:]):
-            raise TypedescError(f"affine: weight {w.shape}, input {x.shape}, bias {b.shape}")
-    data = _affine([w.data for w in ws], [x.data for x in xs], b.data)
+    data = _checked_affine("affine", ws, xs, b)
+    return _make(data, (*ws, *xs, b), lambda g: _affine_backprop(ws, xs, b, g))
+
+
+def gated_fusion(sides, g_x: Tensor, g_t: Tensor) -> Tensor:
+    """(1 - g_x - g_t) a_0 + g_x a_1 + g_t a_2 for vectors or blocks of rows, as one node.
+
+    Each a_i is the affine sum `affine(*sides[i])`. The coefficient is taken
+    literally: two independent gates can drive it below zero. The values are
+    those of the chain of `affine`, subtraction, product and sum nodes it
+    replaces, in that chain's order.
+    """
+    sums = [_checked_affine("gated_fusion", *side) for side in sides]
+    gx, gt = g_x.data, g_t.data
+    if not gx.shape == gt.shape == sums[0].shape == sums[1].shape == sums[2].shape:
+        raise TypedescError(f"gated_fusion: gates {g_x.shape} and {g_t.shape} for sums "
+                            f"{[a.shape for a in sums]}")
+    coeff = 1.0 - gx - gt
+    data = coeff * sums[0] + gx * sums[1] + gt * sums[2]
 
     def backprop(g):
-        for w, x in zip(ws, xs):
-            _accum_outer(w, g, x.data)
-            _accum(x, (w.data.T @ g.T).T)
-        _accum(b, _unbroadcast(g, b.data.shape))
+        target_part = g * sums[0]
+        _accum(g_x, g * sums[1] - target_part)
+        _accum(g_t, g * sums[2] - target_part)
+        for side, gate in zip(sides, (coeff, gx, gt)):
+            _affine_backprop(*side, g * gate)
 
-    return _make(data, (*ws, *xs, b), backprop)
+    # parents in the order a depth-first walk met them in the replaced chain, so
+    # that every gradient sums its parts in the same order
+    (ws0, xs0, b0), (ws1, xs1, b1), (ws2, xs2, b2) = sides
+    return _make(data, (*ws0, *xs0, b0, g_x, *ws1, *xs1, b1, g_t, *ws2, *xs2, b2), backprop)
 
 
 # General-product attention (Luong et al. 2015) on raw arrays, for a query
@@ -262,17 +294,14 @@ def affine(ws: list[Tensor], xs: list[Tensor], b: Tensor) -> Tensor:
 def _attend(states, s, w):
     """The context and the values its backward needs, (q, alpha)."""
     q = (w @ s.T).T
-    scores = (states @ q.T).T
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
+    alpha = _softmax((states @ q.T).T)
     return (states.T @ alpha.T).T, (q, alpha)
 
 
 def _attend_grad(g, states, w, saved):
     """Gradients of the scores, of q and of s, from g, the gradient of the context."""
     _q, alpha = saved
-    dalpha = (states @ g.T).T
-    dscores = (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True)) * alpha
+    dscores = _softmax_grad((states @ g.T).T, alpha)
     dq = (states.T @ dscores.T).T
     return dscores, dq, (w.T @ dq.T).T
 
@@ -343,12 +372,20 @@ def reduce_sum(a: Tensor) -> Tensor:
     return _make(a.data.sum(), (a,), lambda g: _accum(a, g))
 
 
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g, y):
+    """Gradient of the scores of y = _softmax(scores), from g, the gradient of y."""
+    return (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    x = a.data
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-    return _make(y, (a,), lambda g: _accum(a, (g - (g * y).sum(axis=-1, keepdims=True)) * y))
+    y = _softmax(a.data)
+    return _make(y, (a,), lambda g: _accum(a, _softmax_grad(g, y)))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -357,26 +394,43 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(table.data[idx], (table,), lambda g: _accum(table, g, idx))
 
 
-def scatter_add(base: Tensor, src: Tensor, index, size: int) -> Tensor:
-    """out[j] = base[j] (0 past base's end) + the sum of src[i] over i with index[i] == j.
+def copy_mixture(gen_logits: Tensor, switch_logit: Tensor, copy_scores: Tensor, index,
+                 size: int) -> Tensor:
+    """Copy/generate mixture over an extended vocabulary of `size` entries, as one node.
 
-    base and src are vectors, or (k, V) and (k, L) blocks done row by row.
+    With p_z = sigmoid(switch_logit), entry j is p_z softmax(gen_logits)[j]
+    (0 past the generate vocabulary) plus (1 - p_z) times the sum of
+    softmax(copy_scores)[i] over the source positions i with index[i] == j
+    (See et al. 2017). Takes vectors, or (k, V), (k, 1) and (k, L) blocks done
+    row by row. The values are those of the softmax, sigmoid, subtraction,
+    product and scatter nodes it replaces.
     """
     idx = np.asarray(index)
-    if (base.data.ndim not in (1, 2) or base.shape[-1] > size or idx.ndim != 1
-            or src.shape != base.shape[:-1] + idx.shape):
-        raise TypedescError(f"scatter_add: base {base.shape} into size {size}, src {src.shape}, "
-                            f"index {idx.shape}")
-    n = base.data.shape[-1]
-    data = np.zeros(base.shape[:-1] + (size,), dtype=np.float64)
-    np.add.at(data.T, idx, src.data.T)
-    data[..., :n] += base.data
+    if (gen_logits.data.ndim not in (1, 2) or gen_logits.shape[-1] > size or idx.ndim != 1
+            or switch_logit.shape != gen_logits.shape[:-1] + (1,)
+            or copy_scores.shape != gen_logits.shape[:-1] + idx.shape):
+        raise TypedescError(f"copy_mixture: generate logits {gen_logits.shape} into size "
+                            f"{size}, switch {switch_logit.shape}, copy scores "
+                            f"{copy_scores.shape}, index {idx.shape}")
+    p_gen = _softmax(gen_logits.data)
+    p_copy = _softmax(copy_scores.data)
+    p_z = _sigmoid(switch_logit.data)
+    p_not = 1.0 - p_z
+    n = p_gen.shape[-1]
+    data = np.zeros(p_gen.shape[:-1] + (size,), dtype=np.float64)
+    np.add.at(data.T, idx, (p_not * p_copy).T)
+    data[..., :n] += p_z * p_gen
 
     def backprop(g):
-        _accum(base, g[..., :n])
-        _accum(src, g[..., idx])
+        g_gen, g_copy = g[..., :n], g[..., idx]
+        dp_z = (g_gen * p_gen).sum(axis=-1, keepdims=True) \
+            - (g_copy * p_copy).sum(axis=-1, keepdims=True)
+        _accum(gen_logits, _softmax_grad(g_gen * p_z, p_gen))
+        _accum(switch_logit, dp_z * p_z * p_not)
+        _accum(copy_scores, _softmax_grad(g_copy * p_not, p_copy))
 
-    return _make(data, (base, src), backprop)
+    # parents in the order a depth-first walk met them in the replaced chain
+    return _make(data, (gen_logits, switch_logit, copy_scores), backprop)
 
 
 def add_n(parts: list[Tensor]) -> Tensor:

@@ -16,7 +16,7 @@ from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, affine, attend, concat, cross_entropy, embedding_lookup,
                        gru_cell, gru_sequence, gru_weights, init_gru, softmax, tanh,
-                       uniform_param, zeros)
+                       transpose, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS
 
@@ -37,6 +37,11 @@ class ModelDims:
 class EncoderOutput:
     states: Tensor  # (L, d_h), one row per source token
     final: Tensor   # (d_h,)
+
+
+@dataclass
+class InfoboxEncoding(EncoderOutput):
+    copy_keys: Tensor  # (L, d_h), tanh(H W_c + b_c): stage 2's copy key of each source token
 
 
 def init_encoder_params(dims: ModelDims, vocabs: VocabSet, rng) -> dict:
@@ -61,8 +66,13 @@ def init_stage1_params(dims: ModelDims, vocabs: VocabSet, rng) -> dict:
     return p
 
 
-def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet, params: dict) -> EncoderOutput:
-    """GRU states over the reconstructed infobox sequence."""
+def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet,
+                   params: dict) -> InfoboxEncoding:
+    """GRU states over the reconstructed infobox sequence, and stage 2's copy keys.
+
+    The keys depend on the states alone, so every description step of an
+    example, and every hypothesis of a beam, shares the ones formed here.
+    """
     if not tokens:
         raise TypedescError("cannot encode an empty infobox")
     gru = gru_weights(params, "enc.gru")
@@ -73,7 +83,9 @@ def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet, params: dict) ->
         embedding_lookup(params["enc.pos_emb"], [t.position for t in tokens]),
     ])
     states = gru_sequence(xs, zeros(gru.uz.data.shape[0]), gru)
-    return EncoderOutput(states=states, final=embedding_lookup(states, len(tokens) - 1))
+    copy_keys = tanh(affine([transpose(params["s2.copy.w"])], [states], params["s2.copy.b"]))
+    return InfoboxEncoding(states=states, final=embedding_lookup(states, len(tokens) - 1),
+                           copy_keys=copy_keys)
 
 
 def attend_general(states: Tensor, s_prev: Tensor, w: Tensor):

@@ -12,12 +12,12 @@ import numpy as np
 
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
-from .diffcore import (Tensor, affine, concat, cross_entropy, embedding_lookup, gru_cell,
-                       gru_sequence, gru_weights, init_gru, linear, scatter_add, sigmoid,
-                       softmax, tanh, transpose, uniform_param, zeros)
+from .diffcore import (Tensor, affine, concat, copy_mixture, cross_entropy, embedding_lookup,
+                       gated_fusion, gru_cell, gru_sequence, gru_weights, init_gru, linear,
+                       sigmoid, tanh, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS, UNK
-from .stage1 import EncoderOutput, ModelDims, attend_general
+from .stage1 import EncoderOutput, InfoboxEncoding, ModelDims, attend_general
 
 MAX_DESCRIPTION_LEN = 24  # description words decoded before stopping without eos
 
@@ -138,39 +138,35 @@ def context_gates(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor, 
 
 def fuse_contexts(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor,
                   g_x: Tensor, g_t: Tensor, params: dict) -> Tensor:
-    """Gated interpolation of target, source and template contexts.
+    """Gated interpolation of target, source and template contexts, as one node.
 
     The (1 - g_x - g_t) coefficient can go negative since both gates are
     independent sigmoids; implemented literally, no renormalization.
     """
-    target_side = affine([params["s2.fuse.w"], params["s2.fuse.u"]], [y_prev_emb, s_prev],
-                         params["s2.fuse.b"])
-    coeff = 1.0 - g_x - g_t
-    return (coeff * target_side
-            + g_x * affine([params["s2.fuse.c1"]], [c_x], params["s2.fuse.c1_b"])
-            + g_t * affine([params["s2.fuse.c2"]], [c_t], params["s2.fuse.c2_b"]))
+    return gated_fusion([([params["s2.fuse.w"], params["s2.fuse.u"]], [y_prev_emb, s_prev],
+                          params["s2.fuse.b"]),
+                         ([params["s2.fuse.c1"]], [c_x], params["s2.fuse.c1_b"]),
+                         ([params["s2.fuse.c2"]], [c_t], params["s2.fuse.c2_b"])], g_x, g_t)
 
 
-def copy_gen_distribution(s_j: Tensor, c2: Tensor, enc_states: Tensor,
+def copy_gen_distribution(s_j: Tensor, c2: Tensor, copy_keys: Tensor,
                           extvocab: ExtendedVocab, params: dict) -> Tensor:
     """Mixture over the extended vocabulary.
 
     Generate path: softmax over target-vocabulary scores. Copy path: softmax
-    over per-position source scores, positions of the same word summed. A
-    sigmoid MLP switch supplies the mixture weight.
+    over per-position scores s_j . k_i against the copy keys, positions of
+    the same word summed. A sigmoid MLP switch supplies the mixture weight.
+    The keys come once per example, from `stage1.encode_infobox`; the
+    softmaxes, the switch's sigmoid and the mixing are one `copy_mixture` node.
     """
     sc = concat([s_j, c2])
-    p_gen = softmax(affine([params["s2.gen.w"]], [sc], params["s2.gen.b"]))
     hidden = tanh(affine([params["s2.switch.w1"]], [sc], params["s2.switch.b1"]))
-    p_z = sigmoid(affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"]))  # (..., 1)
-
-    copy_keys = tanh(affine([transpose(params["s2.copy.w"])], [enc_states], params["s2.copy.b"]))
-    copy_scores = linear(s_j, copy_keys)
-    copy_probs = (1.0 - p_z) * softmax(copy_scores)
-    return scatter_add(p_z * p_gen, copy_probs, extvocab.position_ids, extvocab.size)
+    return copy_mixture(affine([params["s2.gen.w"]], [sc], params["s2.gen.b"]),
+                        affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"]),
+                        linear(s_j, copy_keys), extvocab.position_ids, extvocab.size)
 
 
-def description_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
+def description_step(y_prev_id, s_prev: Tensor, enc: InfoboxEncoding,
                      template_enc: EncoderOutput, extvocab: ExtendedVocab, params: dict):
     """One decoder step: distribution over the extended vocabulary and next state.
 
@@ -182,11 +178,11 @@ def description_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
     g_x, g_t = context_gates(y_emb, s_prev, c_x, c_t, params)
     c2 = fuse_contexts(y_emb, s_prev, c_x, c_t, g_x, g_t, params)
     s_j = gru_cell(concat([y_emb, c2]), s_prev, gru_weights(params, "s2.gru"))
-    dist = copy_gen_distribution(s_j, c2, enc.states, extvocab, params)
+    dist = copy_gen_distribution(s_j, c2, enc.copy_keys, extvocab, params)
     return dist, s_j
 
 
-def description_nll(enc: EncoderOutput, template_enc: EncoderOutput,
+def description_nll(enc: InfoboxEncoding, template_enc: EncoderOutput,
                     target_tokens: list[str], extvocab: ExtendedVocab,
                     params: dict) -> Tensor:
     """Teacher-forced negative log-likelihood of the description, eos appended.
@@ -205,7 +201,7 @@ def description_nll(enc: EncoderOutput, template_enc: EncoderOutput,
     return diffcore.add_n(losses)
 
 
-def decode_description(enc: EncoderOutput, template_enc: EncoderOutput,
+def decode_description(enc: InfoboxEncoding, template_enc: EncoderOutput,
                        extvocab: ExtendedVocab, params: dict, max_len: int, mode: str,
                        beam_width: int) -> list[str]:
     """Decode a description, copied OOV words verbatim; tapes unless under no_grad."""

@@ -134,7 +134,9 @@ def train(data: DatasetSplit, config: TrainConfig, dims: ModelDims, vocabs: Voca
     validation epoch has improved, those after the last completed step. They
     go to `out_dir` as checkpoint.bin, with train_log.csv, also when a
     non-finite loss or gradient raises TrainingDiverged. Runs are bit-for-bit
-    reproducible under a fixed seed. `on_epoch`, when given, is called as
+    reproducible under a fixed seed, a fixed BLAS thread count and one CPU
+    model: at d_h=256, one and two OpenBLAS threads end with different
+    parameters. `on_epoch`, when given, is called as
     on_epoch(epoch, model) after each epoch and may return True to stop early.
     """
     if not data.train:

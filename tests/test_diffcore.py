@@ -46,16 +46,17 @@ class TestForwardValues:
         with pytest.raises(TypedescError, match=r"\(2, 3\).*\(2, 3\)"):
             dc.affine([a], [b], dc.Tensor(np.zeros(3)))
 
-    @pytest.mark.parametrize("op", [dc.add, dc.sub, dc.mul])
+    @pytest.mark.parametrize("op", [dc.add, dc.mul])
     def test_elementwise_shape_mismatch_names_op_and_shapes(self, op):
         a, b = dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros(4))
         with pytest.raises(TypedescError,
                            match=rf"^{op.__name__}: incompatible shapes \(2, 3\) and \(4,\)$"):
             op(a, b)
 
-    def test_scatter_add_rejects_a_base_longer_than_size(self):
-        with pytest.raises(TypedescError, match=r"base \(5,\) into size 4"):
-            dc.scatter_add(dc.Tensor(np.zeros(5)), dc.Tensor(np.zeros(2)), [0, 1], 4)
+    def test_copy_mixture_rejects_generate_logits_longer_than_size(self):
+        with pytest.raises(TypedescError, match=r"generate logits \(5,\) into size 4"):
+            dc.copy_mixture(dc.Tensor(np.zeros(5)), dc.Tensor(np.zeros(1)),
+                            dc.Tensor(np.zeros(2)), [0, 1], 4)
 
     @pytest.mark.parametrize("size", [4, 64, 256, 10_000])
     def test_sigmoid_matches_the_two_division_form(self, size):
@@ -116,7 +117,7 @@ def _unfused_gru_cell(x, h, w):
     z = dc.sigmoid(dc.linear(x, w.wz) + dc.linear(h, w.uz) + w.bz)
     r = dc.sigmoid(dc.linear(x, w.wr) + dc.linear(h, w.ur) + w.br)
     hbar = dc.tanh(dc.linear(x, w.wh) + dc.linear(r * h, w.uh) + w.bh)
-    return (1.0 - z) * h + z * hbar
+    return (1.0 + z * -1.0) * h + z * hbar  # 1 - z exactly: negation rounds nothing
 
 
 def random_gru(rng, d_in, d_h, scale=0.5):
@@ -196,7 +197,7 @@ class TestFusedGRU:
 
 
 class TestRowBlocks:
-    """linear, gru_cell and scatter_add take a block of rows through the vector code."""
+    """linear, gru_cell and copy_mixture take a block of rows through the vector code."""
 
     def test_linear_gradients_match_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -262,21 +263,22 @@ class TestRowBlocks:
                             epsilon=1e-4)
         assert err < 1e-6
 
-    def test_scatter_add_block_rows_are_vector_calls(self):
+    def test_copy_mixture_block_rows_are_vector_calls(self):
         rng = np.random.default_rng(34)
-        base, src = param(rng, 3, 2), param(rng, 3, 5)
+        parts = param(rng, 3, 2), param(rng, 3, 1), param(rng, 3, 5)
         idx = np.array([0, 3, 3, 2, 0])
-        block = dc.scatter_add(base, src, idx, 4).data
+        block = dc.copy_mixture(*parts, idx, 4).data
         for i in range(3):
-            row = dc.scatter_add(dc.Tensor(base.data[i]), dc.Tensor(src.data[i]), idx, 4).data
+            row = dc.copy_mixture(*(dc.Tensor(p.data[i]) for p in parts), idx, 4).data
             assert np.array_equal(block[i], row)
         probe = dc.Tensor(rng.normal(size=(3, 4)))
-        assert dc.grad_check(lambda: (dc.scatter_add(base, src, idx, 4) * probe).sum(),
-                             [base, src]) < 1e-6
+        assert dc.grad_check(lambda: (dc.copy_mixture(*parts, idx, 4) * probe).sum(),
+                             list(parts)) < 1e-6
 
-    def test_scatter_add_rejects_unpaired_rows(self):
-        with pytest.raises(TypedescError, match="scatter_add"):
-            dc.scatter_add(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((3, 2))), [0, 1], 4)
+    def test_copy_mixture_rejects_unpaired_rows(self):
+        with pytest.raises(TypedescError, match="copy_mixture"):
+            dc.copy_mixture(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((2, 1))),
+                            dc.Tensor(np.zeros((3, 2))), [0, 1], 4)
 
 
 def _unfused_affine(ws, xs, b):
@@ -287,11 +289,11 @@ def _unfused_affine(ws, xs, b):
     return out + b
 
 
-def random_affine(rng, terms, rows):
-    """Weights (6, d_i), inputs (d_i,) or (rows, d_i), bias (6,), with d_i = 3, 4, 5, ..."""
-    ws = [param(rng, 6, 3 + i) for i in range(terms)]
+def random_affine(rng, terms, rows, d=6):
+    """Weights (d, d_i), inputs (d_i,) or (rows, d_i), bias (d,), with d_i = 3, 4, 5, ..."""
+    ws = [param(rng, d, 3 + i) for i in range(terms)]
     xs = [param(rng, *((rows,) if rows else ()), 3 + i, scale=1.0) for i in range(terms)]
-    return ws, xs, param(rng, 6)
+    return ws, xs, param(rng, d)
 
 
 class TestAffine:
@@ -487,12 +489,20 @@ class TestGradCheck:
         assert dc.grad_check(
             lambda: (dc.embedding_lookup(tab, [1, 1]) * probe3).sum(), [tab]) < 1e-6
 
-        # a base shorter than size, and src positions that share an index
-        base, s = param(rng, 2), param(rng, 5)
+        # generate logits shorter than size, and copy positions that share an index
+        gen, switch, scores = param(rng, 2), param(rng, 1), param(rng, 5)
         probe4 = dc.Tensor(rng.normal(size=4))
         idx = np.array([0, 3, 3, 2, 0])
-        assert dc.grad_check(
-            lambda: (dc.scatter_add(base, s, idx, 4) * probe4).sum(), [base, s]) < 1e-6
+        assert dc.grad_check(lambda: (dc.copy_mixture(gen, switch, scores, idx, 4)
+                                      * probe4).sum(), [gen, switch, scores]) < 1e-6
+
+        # the three sums of a gated fusion at d=5, two terms in the first
+        sides = [random_affine(rng, terms, 0, d=5) for terms in (2, 1, 1)]
+        gx, gt = param(rng, 5), param(rng, 5)
+        probe5 = dc.Tensor(rng.normal(size=5))
+        leaves = [gx, gt] + [t for ws, xs, b in sides for t in (*ws, *xs, b)]
+        assert dc.grad_check(lambda: (dc.gated_fusion(sides, gx, gt) * probe5).sum(),
+                             leaves) < 1e-6
 
         # a Python number operand is a 0-d constant: one node, numpy's values exactly
         made = []
@@ -501,8 +511,6 @@ class TestGradCheck:
         g = rng.normal(size=6)
         for op, value, grad in ((lambda: t + 0.3, t.data + 0.3, g),
                                 (lambda: 0.3 + t, 0.3 + t.data, g),
-                                (lambda: t - 0.3, t.data - 0.3, g),
-                                (lambda: 0.3 - t, 0.3 - t.data, -g),
                                 (lambda: t * 0.3, t.data * 0.3, g * 0.3),
                                 (lambda: 0.3 * t, 0.3 * t.data, 0.3 * g)):
             made.clear()

@@ -8,6 +8,8 @@ from typedesc.errors import TypedescError
 from typedesc.lexicon import HED, MOD, UNK
 from typedesc.trainer import TwoStageModel
 
+from test_diffcore import assert_close_relative, grads_of
+
 
 @pytest.fixture(scope="module")
 def setup(rue_cazotte, tiny_dims):
@@ -21,6 +23,48 @@ def zero_model(vocabs, dims):
     for p in model.params.values():
         p.data[:] = 0.0
     return model
+
+
+def _scatter_add(base, src, index, size):
+    """out[j] = base[j] (0 past base's end) + the sum of src[i] over i with index[i] == j,
+    as one node: the scatter that the copy/generate mixture replaced."""
+    idx = np.asarray(index)
+    n = base.data.shape[-1]
+    data = np.zeros(base.shape[:-1] + (size,))
+    np.add.at(data.T, idx, src.data.T)
+    data[..., :n] += base.data
+
+    def backprop(g):
+        dc._accum(base, g[..., :n])
+        dc._accum(src, g[..., idx])
+
+    return dc._make(data, (base, src), backprop)
+
+
+def _one_minus(t):
+    return 1.0 + t * -1.0  # 1 - t exactly: negation rounds nothing
+
+
+def reference_fuse_contexts(y_prev_emb, s_prev, c_x, c_t, g_x, g_t, params):
+    """fuse_contexts as the chain of nodes it replaced: three affine sums, then
+    one node per subtraction, product and sum."""
+    target_side = dc.affine([params["s2.fuse.w"], params["s2.fuse.u"]], [y_prev_emb, s_prev],
+                            params["s2.fuse.b"])
+    coeff = _one_minus(g_x) + g_t * -1.0
+    return (coeff * target_side
+            + g_x * dc.affine([params["s2.fuse.c1"]], [c_x], params["s2.fuse.c1_b"])
+            + g_t * dc.affine([params["s2.fuse.c2"]], [c_t], params["s2.fuse.c2_b"]))
+
+
+def reference_copy_gen_distribution(s_j, c2, copy_keys, extvocab, params):
+    """copy_gen_distribution as the chain of nodes it replaced: both softmaxes, the
+    switch's sigmoid, 1 - p_z, both products and the scatter, one node each."""
+    sc = dc.concat([s_j, c2])
+    p_gen = dc.softmax(dc.affine([params["s2.gen.w"]], [sc], params["s2.gen.b"]))
+    hidden = dc.tanh(dc.affine([params["s2.switch.w1"]], [sc], params["s2.switch.b1"]))
+    p_z = dc.sigmoid(dc.affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"]))
+    copy_probs = _one_minus(p_z) * dc.softmax(dc.linear(s_j, copy_keys))
+    return _scatter_add(p_z * p_gen, copy_probs, extvocab.position_ids, extvocab.size)
 
 
 class TestEncodeTemplate:
@@ -194,7 +238,7 @@ class TestCopyGenDistribution:
         d = model.dims.d_h
         s_j = dc.Tensor(rng.normal(size=d))
         c2 = dc.Tensor(rng.normal(size=d))
-        dist = stage2.copy_gen_distribution(s_j, c2, enc.states, ext, model.params)
+        dist = stage2.copy_gen_distribution(s_j, c2, enc.copy_keys, ext, model.params)
         assert abs(dist.data.sum() - 1.0) < 1e-9
         assert np.all(dist.data >= 0)
 
@@ -210,7 +254,7 @@ class TestCopyGenDistribution:
             d = model.dims.d_h
             s_j = dc.Tensor(rng.normal(size=d))
             c2 = dc.Tensor(rng.normal(size=d))
-            dist = stage2.copy_gen_distribution(s_j, c2, enc.states, ext, p)
+            dist = stage2.copy_gen_distribution(s_j, c2, enc.copy_keys, ext, p)
             sc = np.concatenate([s_j.data, c2.data])
             logits = p["s2.gen.w"].data @ sc + p["s2.gen.b"].data
             ex = np.exp(logits - logits.max())
@@ -229,7 +273,7 @@ class TestCopyGenDistribution:
         d = model.dims.d_h
         s_j = dc.Tensor(rng.normal(size=d))
         c2 = dc.Tensor(rng.normal(size=d))
-        dist = stage2.copy_gen_distribution(s_j, c2, enc.states, ext, model.params)
+        dist = stage2.copy_gen_distribution(s_j, c2, enc.copy_keys, ext, model.params)
         p = model.params
         sc = np.concatenate([s_j.data, c2.data])
         hidden = np.tanh(p["s2.switch.w1"].data @ sc + p["s2.switch.b1"].data)
@@ -264,6 +308,68 @@ class TestCopyGenDistribution:
 
         err = dc.grad_check(loss, list(model.params.values()))
         assert err < 1e-4
+
+
+class TestFusedStepTail:
+    """fuse_contexts and copy_gen_distribution are the chains they replaced, one node each."""
+
+    @staticmethod
+    def leaf(rng, *shape):
+        return dc.Tensor(rng.normal(size=shape), requires_grad=True)
+
+    @staticmethod
+    def assert_same(fn, reference, args, probe, leaves):
+        assert np.array_equal(fn(*args).data, reference(*args).data)
+        got = grads_of(lambda: (fn(*args) * probe).sum(), leaves)
+        want = grads_of(lambda: (reference(*args) * probe).sum(), leaves)
+        for g, r in zip(got, want):
+            assert_close_relative(g, r)
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_fuse_contexts_matches_the_reference_chain(self, setup, rows):
+        _, _, model = setup
+        rng = np.random.default_rng(40 + rows)
+        lead = (rows,) if rows else ()
+        d, dw = model.dims.d_h, model.dims.d_word
+        inputs = [self.leaf(rng, *lead, n) for n in (dw, d, d, d)]
+        gates = [dc.Tensor(rng.uniform(size=lead + (d,)), requires_grad=True) for _ in range(2)]
+        fuse = [p for name, p in model.params.items() if name.startswith("s2.fuse.")]
+        self.assert_same(stage2.fuse_contexts, reference_fuse_contexts,
+                         [*inputs, *gates, model.params], dc.Tensor(rng.normal(size=lead + (d,))),
+                         inputs + gates + fuse)
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_copy_gen_distribution_matches_the_reference_chain(self, setup, rows):
+        # an OOV word and an in-vocabulary word, each at two source positions
+        _, vocabs, model = setup
+        source = [SourceToken(w, "p", i % 4)
+                  for i, w in enumerate(["paris", "zzyzx", "street", "paris", "zzyzx"])]
+        ext = stage2.ExtendedVocab(vocabs, source)
+        rng = np.random.default_rng(50 + rows)
+        lead = (rows,) if rows else ()
+        d = model.dims.d_h
+        s_j, c2, keys = self.leaf(rng, *lead, d), self.leaf(rng, *lead, d), \
+            self.leaf(rng, len(source), d)
+        head = [p for name, p in model.params.items() if name.startswith(("s2.gen", "s2.switch"))]
+        self.assert_same(stage2.copy_gen_distribution, reference_copy_gen_distribution,
+                         [s_j, c2, keys, ext, model.params],
+                         dc.Tensor(rng.normal(size=lead + (ext.size,))), [s_j, c2, keys] + head)
+
+    def test_joint_loss_gradients_are_the_reference_chains_bitwise(self, monkeypatch):
+        # each fused node hands its parents their gradients in the order the replaced
+        # chain did, so every sum of parts over the whole graph is unchanged
+        from test_acceptance import micro_entity, micro_vocabs, scaled_model
+        model = scaled_model(stage1.ModelDims(d_h=4, d_word=4, d_prop=3, d_pos=3),
+                             micro_vocabs(), seed=210)
+        params = list(model.params.values())
+        fused = grads_of(lambda: model.joint_loss(micro_entity()), params)
+        loss = model.joint_loss(micro_entity()).data
+        monkeypatch.setattr(stage2, "fuse_contexts", reference_fuse_contexts)
+        monkeypatch.setattr(stage2, "copy_gen_distribution", reference_copy_gen_distribution)
+        assert np.array_equal(model.joint_loss(micro_entity()).data, loss)
+        chained = grads_of(lambda: model.joint_loss(micro_entity()), params)
+        for g, r in zip(fused, chained):
+            assert np.array_equal(g, r)
 
 
 class TestDescriptionStepRows:

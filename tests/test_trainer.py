@@ -158,6 +158,43 @@ def test_joint_loss_node_count_with_fused_affine_maps_and_attention(monkeypatch)
     assert len(made) <= 300
 
 
+def test_joint_loss_node_count_with_fused_step_tail(monkeypatch):
+    # the gated fusion and the copy/generate mixture are one node each, and the
+    # copy keys are formed once; their per-operation chains again (272 nodes
+    # here) fail this bound
+    from test_acceptance import micro_entity, micro_vocabs
+    model = TwoStageModel.build(stage1.ModelDims(d_h=4, d_word=4, d_prop=3, d_pos=3),
+                                micro_vocabs(), seed=0)
+    made = []
+    real = dc._make
+    monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+    model.joint_loss(micro_entity())
+    assert len(made) <= 200
+
+
+def test_copy_keys_are_formed_once_per_example(corpus, monkeypatch):
+    # tanh(H W_c + b_c) depends on the encoder alone; counted by the transposes
+    # of s2.copy.w, in whichever stage module forms the keys
+    ents, vocabs, dims = corpus
+    model = TwoStageModel.build(dims, vocabs, seed=4)
+    copy_w = model.params["s2.copy.w"]
+    formed = []
+    real = dc.transpose
+
+    def counted(a):
+        formed.append(a is copy_w)
+        return real(a)
+
+    for module in (stage1, stage2):
+        monkeypatch.setattr(module, "transpose", counted, raising=False)
+    ent = max(ents, key=lambda e: len(e.description_tokens))
+    for run in (lambda: model.joint_loss(ent), lambda: model.generate(ent),
+                lambda: model.generate(ent, mode="beam", beam_width=4)):
+        formed.clear()
+        run()
+        assert formed.count(True) == 1
+
+
 def test_beam_makes_one_step_call_per_search_step(corpus, monkeypatch):
     # beam:3 scores every open hypothesis in one call, so a decoder is stepped
     # at most max_len times; one call per hypothesis makes up to 1 + 3 (max_len - 1)
