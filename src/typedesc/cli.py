@@ -136,17 +136,13 @@ def cmd_generate(args) -> int:
     override = (None if args.template is None
                 else _template_override(args.template, model.vocabs))
     entities = corpus.load_jsonl(args.input)
-    lines = []
-    for ent in entities:
-        template, description = model.generate(
-            ent, mode=mode, beam_width=width, template_override=override,
-            max_template_len=cfg.max_template_len,
-            max_description_len=cfg.max_description_len)
-        lines.append(json.dumps({
-            "entity_id": ent.entity_id,
-            "template": " ".join(template),
-            "hypothesis": " ".join(description),
-        }, ensure_ascii=False) + "\n")
+    decoded = model.generate_many(entities, mode, width, override, cfg.max_template_len,
+                                  cfg.max_description_len)
+    lines = [json.dumps({
+        "entity_id": ent.entity_id,
+        "template": " ".join(template),
+        "hypothesis": " ".join(description),
+    }, ensure_ascii=False) + "\n" for ent, (template, description) in zip(entities, decoded)]
     # every entity is decoded before --out is touched
     with diffcore.atomic_write(args.out, encoding="utf-8") as fh:
         fh.write("".join(lines))

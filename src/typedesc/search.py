@@ -1,12 +1,23 @@
 """Greedy and length-normalized beam decoding over a generic step function.
 
-A step function takes the previous token id of every open hypothesis and
-their decoder states, as a list, and scores all of them in one call:
-`step(prev_ids, states) -> (log-probability rows (n, V), next states as a
-list)`. Row i and state i belong to hypothesis i. There is one search loop:
-greedy is the width-1 beam, whose one hypothesis is one row. The search
-owns sequence bookkeeping only and treats states as opaque. This module is
-the one place that parses a decoding mode and dispatches on it.
+One call runs several independent searches, one per initial state, in one
+loop. A step function takes the previous token id of every open hypothesis
+of every search and their decoder states, as lists, and scores all of them
+in one call: `step(prev_ids, states) -> (log-probability rows, next states
+as a list)`. Row i and state i belong to hypothesis i; the hypotheses of
+each search come together, in search order. Rows of different searches may
+differ in length, since a search's scores are its own vocabulary. So each
+search step makes one step call, however many searches are open, and
+`typedesc generate` decodes a batch of entities with it, up to
+`trainer._DECODE_ROWS` rows a call. Given the same rows, each search picks
+what it would pick alone; a step function that scores a block of rows
+may round them differently from one row at a time, in the last bits, so
+batched output is deterministic for a given input file and equals
+per-entity decoding up to that rounding. Greedy is the
+width-1 beam, whose one hypothesis is one row. The search owns sequence
+bookkeeping only and treats states as opaque, so a state can carry the
+index of the entity it decodes. This module is the one place that parses a
+decoding mode and dispatches on it.
 """
 
 from __future__ import annotations
@@ -18,53 +29,58 @@ from .errors import TypedescError
 LOG_FLOOR = 1e-300  # added to a probability before its log, so that a zero scores finitely
 
 
-def greedy(step, state, bos_id: int, eos_id: int, max_len: int) -> list[int]:
+def greedy(step, states: list, bos_id: int, eos_id: int, max_len: int) -> list[list[int]]:
     """The width-1 beam: the most likely token at each step, the lowest id on a tie."""
-    return _search(step, state, bos_id, eos_id, max_len, 1)
+    return _search(step, states, bos_id, eos_id, max_len, 1)
 
 
-def beam(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> list[int]:
+def beam(step, states: list, bos_id: int, eos_id: int, max_len: int,
+         width: int) -> list[list[int]]:
     """Prune by cumulative log-probability, pick the final hypothesis by mean."""
-    return _search(step, state, bos_id, eos_id, max_len, _check_width(width))
+    return _search(step, states, bos_id, eos_id, max_len, _check_width(width))
 
 
-def _search(step, state, bos_id: int, eos_id: int, max_len: int, width: int) -> list[int]:
-    """The one search loop behind `greedy` and `beam`.
+def _search(step, states: list, bos_id: int, eos_id: int, max_len: int,
+            width: int) -> list[list[int]]:
+    """The one search loop behind `greedy` and `beam`: token ids, one list per state.
 
-    Each search step scores every open hypothesis in one step call. Finished
-    hypotheses keep their place among the candidates; each open one adds its
-    top `width` tokens in order, and one stable sort by score follows.
+    Each search step scores every open hypothesis of every search in one step
+    call. Within a search, finished hypotheses keep their place among the
+    candidates; each open one adds its top `width` tokens in order, and one
+    stable sort by score follows.
     """
-    # hypothesis: (ids, cumulative logp, state, finished)
-    beams = [([], 0.0, state, False)]
+    # per search, its hypotheses: (ids, cumulative logp, state, finished)
+    searches = [[([], 0.0, state, False)] for state in states]
     for _ in range(max_len):
-        open_beams = [h for h in beams if not h[3]]
-        if not open_beams:
+        open_hyps = [h for beams in searches for h in beams if not h[3]]
+        if not open_hyps:
             break
-        logp, next_states = step([h[0][-1] if h[0] else bos_id for h in open_beams],
-                                 [h[2] for h in open_beams])
-        if width > logp.shape[1]:  # a wider beam never prunes and grows as V^t
-            raise TypedescError(
-                f"beam width {width} exceeds the {logp.shape[1]} scores of a decoding step")
-        # width 1 takes argmax, the stable sort's first entry, without sorting V scores
-        tops = (logp.argmax(axis=1)[:, None] if width == 1
-                else np.argsort(-logp, axis=1, kind="stable")[:, :width])
-        rows = iter(zip(logp, tops, next_states))
-        candidates = []
-        for ids, score, st, finished in beams:
-            if finished:
-                candidates.append((ids, score, st, True))
+        logp, next_states = step([h[0][-1] if h[0] else bos_id for h in open_hyps],
+                                 [h[2] for h in open_hyps])
+        rows = iter(zip(logp, next_states))
+        for k, beams in enumerate(searches):
+            if all(h[3] for h in beams):
                 continue
-            row, top, nst = next(rows)
-            for tok in top.tolist():
-                if tok == eos_id:
-                    candidates.append((ids, score + float(row[tok]), nst, True))
-                else:
-                    candidates.append((ids + [tok], score + float(row[tok]), nst, False))
-        candidates.sort(key=lambda h: -h[1])  # stable: insertion order breaks ties
-        beams = candidates[:width]
-    best = max(beams, key=lambda h: h[1] / (len(h[0]) + 1))
-    return list(best[0])
+            candidates = []
+            for ids, score, st, finished in beams:
+                if finished:
+                    candidates.append((ids, score, st, True))
+                    continue
+                row, nst = next(rows)
+                if width > len(row):  # a wider beam never prunes and grows as V^t
+                    raise TypedescError(
+                        f"beam width {width} exceeds the {len(row)} scores of a decoding step")
+                # width 1 takes argmax, the stable sort's first entry, without sorting V scores
+                top = ([int(row.argmax())] if width == 1
+                       else np.argsort(-row, kind="stable")[:width].tolist())
+                for tok in top:
+                    if tok == eos_id:  # a finished hypothesis needs no state
+                        candidates.append((ids, score + float(row[tok]), None, True))
+                    else:
+                        candidates.append((ids + [tok], score + float(row[tok]), nst, False))
+            candidates.sort(key=lambda h: -h[1])  # stable: insertion order breaks ties
+            searches[k] = candidates[:width]
+    return [list(max(beams, key=lambda h: h[1] / (len(h[0]) + 1))[0]) for beams in searches]
 
 
 def _check_width(width: int) -> int:
@@ -86,11 +102,11 @@ def parse_mode(text: str) -> tuple[str, int]:
     raise TypedescError(f"unknown mode '{text}' (expected greedy or beam:<k>)")
 
 
-def decode(step, s0, bos_id: int, eos_id: int, max_len: int, mode: str,
-           width: int) -> list[int]:
-    """Token ids from the search that `mode` names ("greedy" or "beam")."""
+def decode(step, states: list, bos_id: int, eos_id: int, max_len: int, mode: str,
+           width: int) -> list[list[int]]:
+    """Token ids of each search, one per initial state, from the search `mode` names."""
     if mode == "greedy":
-        return greedy(step, s0, bos_id, eos_id, max_len)
+        return greedy(step, states, bos_id, eos_id, max_len)
     if mode == "beam":
-        return beam(step, s0, bos_id, eos_id, max_len, width)
+        return beam(step, states, bos_id, eos_id, max_len, width)
     raise TypedescError(f"unknown decoding mode '{mode}'")

@@ -8,7 +8,8 @@ per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -88,14 +89,57 @@ def encode_infobox(tokens: list[SourceToken], vocabs: VocabSet,
                            copy_keys=copy_keys)
 
 
-def attend_general(states: Tensor, s_prev: Tensor, w: Tensor):
+class RowGroups:
+    """One value per entity for a block of decoder rows that several entities share.
+
+    The first `counts[0]` rows of the block belong to `values[0]`, the next
+    `counts[1]` rows to `values[1]`, and so on. The step functions take one
+    entity's encoding, or an encoding whose fields are RowGroups (`per_field`),
+    through the same code; only `attend_general` and
+    `stage2.copy_gen_distribution` look at the groups.
+    """
+
+    def __init__(self, values: list, counts: list[int]):
+        self.values = values
+        self.counts = counts
+
+    @classmethod
+    def of(cls, per_entity: list, owners: list[int]) -> "RowGroups":
+        """The values of the entities that own a block's rows; row i belongs to
+        entity owners[i], and each entity's rows come together."""
+        runs = [(k, len(list(rows))) for k, rows in groupby(owners)]
+        return cls([per_entity[k] for k, _ in runs], [n for _, n in runs])
+
+    def per_field(self):
+        """The values, dataclasses of one type such as encodings, as one of that
+        type whose every field is the RowGroups of that field."""
+        kind = type(self.values[0])
+        return kind(**{f.name: RowGroups([getattr(v, f.name) for v in self.values], self.counts)
+                       for f in fields(kind)})
+
+    def split(self, *blocks: Tensor):
+        """Each value with its entity's rows of every block, as new leaves (no tape)."""
+        lo = 0
+        for value, n in zip(self.values, self.counts):
+            yield (value, *(Tensor(b.data[lo:lo + n]) for b in blocks))
+            lo += n
+
+
+def attend_general(states, s_prev: Tensor, w: Tensor):
     """General-product attention: scores h_i . W s, softmax, weighted sum, as one node.
 
     Takes a state vector, or a block of rows, one per hypothesis, each
     attended on its own, as the step functions take an id and a state
     vector, or an id array and a block of rows. Returns the context and the
-    attention weights alpha, a Tensor without gradient.
+    attention weights alpha, a Tensor without gradient. With `states` a
+    RowGroups, each entity's rows attend over its own states, one `attend`
+    per entity; the contexts join in row order, without a tape, and alpha is
+    a RowGroups.
     """
+    if isinstance(states, RowGroups):
+        parts = [attend(h, rows, w) for h, rows in states.split(s_prev)]
+        return (Tensor(np.concatenate([context.data for context, _ in parts])),
+                RowGroups([Tensor(alpha) for _, alpha in parts], states.counts))
     context, alpha = attend(states, s_prev, w)
     return context, Tensor(alpha)
 
@@ -116,7 +160,8 @@ def _step_logits(t_prev_id, s_prev: Tensor, enc: EncoderOutput, params: dict):
 def decode_template_step(t_prev_id, s_prev: Tensor, enc: EncoderOutput, params: dict):
     """One decoder step: distribution over template tokens and the next state.
 
-    Takes an id and a state vector, or an id array and a block of rows.
+    Takes an id and a state vector, or an id array and a block of rows; `enc`
+    is the rows' encoding, or one whose fields are RowGroups over several entities.
     """
     logits, s_next = _step_logits(t_prev_id, s_prev, enc, params)
     return softmax(logits), s_next
@@ -137,15 +182,22 @@ def template_nll(enc: EncoderOutput, template_tokens: list[str], vocabs: VocabSe
     return diffcore.add_n(losses)
 
 
-def generate_template(enc: EncoderOutput, vocabs: VocabSet, params: dict, max_len: int,
-                      mode: str, beam_width: int) -> list[str]:
-    """Decode a template until eos or max_len; tapes unless under no_grad."""
+def generate_template(encs: list[EncoderOutput], vocabs: VocabSet, params: dict,
+                      max_len: int, mode: str, beam_width: int) -> list[list[str]]:
+    """Decode the template of each encoding until eos or max_len, all in one search loop.
+
+    Every step call scores the open hypotheses of every entity as one block.
+    A search state is (entity index, decoder state row). Meant for no_grad,
+    as `TwoStageModel.generate_many` runs it.
+    """
 
     def step(prev_ids, states):
-        probs, s_next = decode_template_step(prev_ids, Tensor(np.array(states)), enc, params)
-        return np.log(probs.data + search.LOG_FLOOR), list(s_next.data)
+        owners = [k for k, _ in states]
+        probs, s_next = decode_template_step(prev_ids, Tensor(np.array([s for _, s in states])),
+                                             RowGroups.of(encs, owners).per_field(), params)
+        return np.log(probs.data + search.LOG_FLOOR), list(zip(owners, s_next.data))
 
-    ids = search.decode(step, init_decoder_state(enc.final, params).data,
-                        vocabs.template_vocab[BOS], vocabs.template_vocab[EOS], max_len,
-                        mode, beam_width)
-    return [vocabs.template_itos[i] for i in ids]
+    s0 = init_decoder_state(Tensor(np.array([e.final.data for e in encs])), params)
+    ids = search.decode(step, list(enumerate(s0.data)), vocabs.template_vocab[BOS],
+                        vocabs.template_vocab[EOS], max_len, mode, beam_width)
+    return [[vocabs.template_itos[i] for i in seq] for seq in ids]

@@ -17,7 +17,7 @@ from .diffcore import (Tensor, affine, concat, copy_mixture, cross_entropy, embe
                        sigmoid, tanh, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS, UNK
-from .stage1 import EncoderOutput, InfoboxEncoding, ModelDims, attend_general
+from .stage1 import EncoderOutput, InfoboxEncoding, ModelDims, RowGroups, attend_general
 
 MAX_DESCRIPTION_LEN = 24  # description words decoded before stopping without eos
 
@@ -149,8 +149,7 @@ def fuse_contexts(y_prev_emb: Tensor, s_prev: Tensor, c_x: Tensor, c_t: Tensor,
                          ([params["s2.fuse.c2"]], [c_t], params["s2.fuse.c2_b"])], g_x, g_t)
 
 
-def copy_gen_distribution(s_j: Tensor, c2: Tensor, copy_keys: Tensor,
-                          extvocab: ExtendedVocab, params: dict) -> Tensor:
+def copy_gen_distribution(s_j: Tensor, c2: Tensor, copy_keys, extvocab, params: dict):
     """Mixture over the extended vocabulary.
 
     Generate path: softmax over target-vocabulary scores. Copy path: softmax
@@ -158,19 +157,35 @@ def copy_gen_distribution(s_j: Tensor, c2: Tensor, copy_keys: Tensor,
     the same word summed. A sigmoid MLP switch supplies the mixture weight.
     The keys come once per example, from `stage1.encode_infobox`; the
     softmaxes, the switch's sigmoid and the mixing are one `copy_mixture` node.
+    With `copy_keys` and `extvocab` RowGroups, the switch and the generate
+    scores take every row at once, and the copy scores and the mixture run
+    per entity; the result is a RowGroups of the entities' distributions.
     """
     sc = concat([s_j, c2])
     hidden = tanh(affine([params["s2.switch.w1"]], [sc], params["s2.switch.b1"]))
-    return copy_mixture(affine([params["s2.gen.w"]], [sc], params["s2.gen.b"]),
-                        affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"]),
-                        linear(s_j, copy_keys), extvocab.position_ids, extvocab.size)
+    gen_logits = affine([params["s2.gen.w"]], [sc], params["s2.gen.b"])
+    switch_logit = affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"])
+    if isinstance(copy_keys, RowGroups):
+        return RowGroups([_mixture(*rows, keys, ext) for (keys, *rows), ext in
+                          zip(copy_keys.split(gen_logits, switch_logit, s_j), extvocab.values)],
+                         copy_keys.counts)
+    return _mixture(gen_logits, switch_logit, s_j, copy_keys, extvocab)
+
+
+def _mixture(gen_logits: Tensor, switch_logit: Tensor, s_j: Tensor, copy_keys: Tensor,
+             extvocab: ExtendedVocab) -> Tensor:
+    return copy_mixture(gen_logits, switch_logit, linear(s_j, copy_keys),
+                        extvocab.position_ids, extvocab.size)
 
 
 def description_step(y_prev_id, s_prev: Tensor, enc: InfoboxEncoding,
                      template_enc: EncoderOutput, extvocab: ExtendedVocab, params: dict):
     """One decoder step: distribution over the extended vocabulary and next state.
 
-    Takes an id and a state vector, or an id array and a block of rows.
+    Takes an id and a state vector, or an id array and a block of rows. For
+    the rows of several entities, the fields of `enc` and `template_enc` and
+    `extvocab` itself are RowGroups with the same counts, and the
+    distribution is a RowGroups.
     """
     y_emb = embedding_lookup(params["s2.word_emb"], y_prev_id)
     c_x, _ = attend_general(enc.states, s_prev, params["s2.attn_x.w"])
@@ -201,19 +216,29 @@ def description_nll(enc: InfoboxEncoding, template_enc: EncoderOutput,
     return diffcore.add_n(losses)
 
 
-def decode_description(enc: InfoboxEncoding, template_enc: EncoderOutput,
-                       extvocab: ExtendedVocab, params: dict, max_len: int, mode: str,
-                       beam_width: int) -> list[str]:
-    """Decode a description, copied OOV words verbatim; tapes unless under no_grad."""
+def decode_description(encs: list[InfoboxEncoding], template_encs: list[EncoderOutput],
+                       extvocabs: list[ExtendedVocab], params: dict, max_len: int, mode: str,
+                       beam_width: int) -> list[list[str]]:
+    """Decode the description of each entity, copied OOV words verbatim, in one search loop.
+
+    Every step call scores the open hypotheses of every entity as one block.
+    A search state is (entity index, decoder state row). Meant for no_grad,
+    as `TwoStageModel.generate_many` runs it.
+    """
 
     def step(prev_ext_ids, states):
-        prev = [extvocab.decoder_input_id(i) for i in prev_ext_ids]
-        dist, s_next = description_step(prev, Tensor(np.array(states)), enc, template_enc,
-                                        extvocab, params)
-        return np.log(dist.data + search.LOG_FLOOR), list(s_next.data)
+        owners = [k for k, _ in states]
+        prev = [extvocabs[k].decoder_input_id(i) for k, i in zip(owners, prev_ext_ids)]
+        dist, s_next = description_step(prev, Tensor(np.array([s for _, s in states])),
+                                        RowGroups.of(encs, owners).per_field(),
+                                        RowGroups.of(template_encs, owners).per_field(),
+                                        RowGroups.of(extvocabs, owners), params)
+        rows = [row for d in dist.values for row in np.log(d.data + search.LOG_FLOOR)]
+        return rows, list(zip(owners, s_next.data))
 
-    target_vocab = extvocab.vocabs.target_vocab
-    s0 = init_description_state(enc.final, template_enc.final, params).data
-    ids = search.decode(step, s0, target_vocab[BOS], target_vocab[EOS], max_len, mode,
-                        beam_width)
-    return [extvocab.word(i) for i in ids]
+    target_vocab = extvocabs[0].vocabs.target_vocab
+    s0 = init_description_state(Tensor(np.array([e.final.data for e in encs])),
+                                Tensor(np.array([t.final.data for t in template_encs])), params)
+    ids = search.decode(step, list(enumerate(s0.data)), target_vocab[BOS], target_vocab[EOS],
+                        max_len, mode, beam_width)
+    return [[ext.word(i) for i in seq] for ext, seq in zip(extvocabs, ids)]

@@ -18,6 +18,13 @@ from .errors import TrainingDiverged, TypedescError
 from .lexicon import HED
 from .stage1 import ModelDims
 
+# hypothesis rows per decoder step call. At d_h=256 on one BLAS thread of a
+# 2-vCPU Xeon virtual machine, 48 entities decoded in 1.03 s at 1 row a call,
+# 0.33 s at 16 and 0.29 s at 48; a batch's encodings and step arrays add about
+# 0.09 MB of peak memory a row, and 48 rows put the generate-greedy benchmark's
+# peak RSS 8% above decoding one entity at a time.
+_DECODE_ROWS = 16
+
 
 @dataclass
 class TrainConfig:
@@ -91,22 +98,40 @@ class TwoStageModel:
                  template_override: list[str] | None = None,
                  max_template_len: int = stage1.MAX_TEMPLATE_LEN,
                  max_description_len: int = stage2.MAX_DESCRIPTION_LEN):
-        """Run both stages without a tape; returns (template tokens, description tokens).
+        """(template tokens, description tokens) of one entity: `generate_many` of one."""
+        return self.generate_many([entity], mode, beam_width, template_override,
+                                  max_template_len, max_description_len)[0]
 
-        An empty template (stage 1 stopped at once) conditions stage 2 on `$hed$`.
+    def generate_many(self, entities: list[Entity], mode: str, beam_width: int,
+                      template_override: list[str] | None, max_template_len: int,
+                      max_description_len: int) -> list[tuple[list[str], list[str]]]:
+        """Run both stages without a tape; returns (template, description) per entity.
+
+        Entities are encoded one by one and decoded in batches of
+        `_DECODE_ROWS // beam_width` (at least one): stage 1 for every entity of
+        a batch, then stage 2, each search step one step call over every open
+        hypothesis of the batch. An empty template (stage 1 stopped at once)
+        conditions stage 2 on `$hed$`.
         """
+        batch = max(1, _DECODE_ROWS // beam_width)  # a beam steps up to beam_width rows each
+        out = []
         with no_grad():
-            source, enc = self.encode_entity(entity)
-            if template_override is not None:
-                template = list(template_override)
-            else:
-                template = stage1.generate_template(enc, self.vocabs, self.params,
-                                                    max_template_len, mode, beam_width)
-            template_enc = stage2.encode_template(template or [HED], self.vocabs, self.params)
-            extvocab = stage2.ExtendedVocab(self.vocabs, source)
-            description = stage2.decode_description(enc, template_enc, extvocab, self.params,
-                                                    max_description_len, mode, beam_width)
-        return template, description
+            for lo in range(0, len(entities), batch):
+                encoded = [self.encode_entity(e) for e in entities[lo:lo + batch]]
+                encs = [enc for _, enc in encoded]
+                if template_override is not None:
+                    templates = [list(template_override) for _ in encoded]
+                else:
+                    templates = stage1.generate_template(encs, self.vocabs, self.params,
+                                                         max_template_len, mode, beam_width)
+                template_encs = [stage2.encode_template(t or [HED], self.vocabs, self.params)
+                                 for t in templates]
+                extvocabs = [stage2.ExtendedVocab(self.vocabs, source) for source, _ in encoded]
+                descriptions = stage2.decode_description(encs, template_encs, extvocabs,
+                                                         self.params, max_description_len,
+                                                         mode, beam_width)
+                out.extend(zip(templates, descriptions))
+        return out
 
 
 @dataclass

@@ -65,8 +65,8 @@ def template_exact_match(model, entities):
     with dc.no_grad():
         for ent in entities:
             _, enc = model.encode_entity(ent)
-            produced = stage1.generate_template(enc, model.vocabs, model.params,
-                                                RunConfig().max_template_len, "greedy", 1)
+            (produced,) = stage1.generate_template([enc], model.vocabs, model.params,
+                                                   RunConfig().max_template_len, "greedy", 1)
             hits += produced == model.gold_template(ent)
     return hits / len(entities)
 

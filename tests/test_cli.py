@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import synthdata
-from typedesc import cli, corpus
+from typedesc import cli, corpus, search, stage1, stage2, trainer
 from typedesc import diffcore as dc
 from typedesc.config import load_config
 from typedesc.corpus import Entity, write_jsonl
 from typedesc.errors import TypedescError
-from typedesc.lexicon import EOS
+from typedesc.lexicon import BOS, EOS
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +361,8 @@ class TestGenerateCommand:
         out = tmp_path / "preds.jsonl"
         out.write_text("old\n", encoding="utf-8")
         decoded = []
-        monkeypatch.setattr(cli.TwoStageModel, "generate", lambda *a, **k: decoded.append(1))
+        monkeypatch.setattr(cli.TwoStageModel, "generate_many",
+                            lambda *a, **k: decoded.append(1))
         assert run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
                    "--input", str(data_dir / "test.jsonl"), "--out", str(out),
                    "--template", template) == 1
@@ -454,7 +455,7 @@ class TestGenerateCommand:
         assert err.count(cli.ERROR_PREFIX) == 1 and len(err.splitlines()) == 1
         assert named in err
 
-    def test_failure_keeps_earlier_out(self, pipeline, tmp_path, capsys):
+    def test_failure_keeps_earlier_out(self, pipeline, tmp_path, capsys, monkeypatch):
         data_dir, run_dir = pipeline
         good = corpus.load_jsonl(data_dir / "train.jsonl")[:4]
         blank = Entity("Qblank", "blank", "street", [("p1", "named after", "")] * 5)
@@ -474,6 +475,72 @@ class TestGenerateCommand:
         assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "good.jsonl",
                                                               "preds.jsonl"]
+        # two entities a batch: the blank third entity is in the second batch
+        monkeypatch.setattr(trainer, "_DECODE_ROWS", 2)
+        assert run(*generate, str(tmp_path / "bad.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert err.count(cli.ERROR_PREFIX) == 1 and len(err.splitlines()) == 1
+        assert "Qblank" in err and "empty infobox" in err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "good.jsonl",
+                                                              "preds.jsonl"]
+
+    def test_batches_equal_one_entity_at_a_time(self, pipeline, tmp_path, monkeypatch):
+        data_dir, run_dir = pipeline
+        train = corpus.load_jsonl(data_dir / "train.jsonl")
+        oov = [  # value words outside the target vocabulary, so only the copy path has them
+            Entity("Qoov1", "zorblax", "castle in zorblax",
+                   [("p31", "instance of", "castle"), ("p131", "located in", "zorblax quintar")]),
+            Entity("Qoov2", "vexmoor", "lake", [("p31", "instance of", "vexmoor lake")]),
+        ]
+        long = Entity("Qlong", "long", "museum", train[0].statements + train[1].statements)
+        entities = train[:3] + oov[:1] + [long] + train[3:5] + oov[1:] + train[5:7]
+        run_dir = self.stop_stage1_at_once_for_some(run_dir, tmp_path / "run", entities)
+        model, cfg = cli._load_model(run_dir / "checkpoint.bin")
+        sources = [corpus.reconstruct_infobox(e, model.vocabs.position_count)
+                   for e in entities]
+        assert len({len(source) for source in sources}) > 3
+        assert [stage2.ExtendedVocab(model.vocabs, s).oov_words != [] for s in sources].count(
+            True) >= 2
+        write_jsonl(tmp_path / "in.jsonl", entities)
+        out = tmp_path / "preds.jsonl"
+        for mode, flags in (("greedy", ()), ("beam:3", ("--mode", "beam:3")),
+                            ("greedy", ("--template", "$hed$ in $mod$"))):
+            mode_name, width = search.parse_mode(mode)
+            # three entities a batch, so that the ten entities cross batch boundaries
+            monkeypatch.setattr(trainer, "_DECODE_ROWS", 3 * width)
+            assert run("generate", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                       "--input", str(tmp_path / "in.jsonl"), "--out", str(out), *flags) == 0
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            override = corpus.tokenize(flags[1]) if flags[:1] == ("--template",) else None
+            alone = [model.generate(e, mode_name, width, override, cfg.max_template_len,
+                                    cfg.max_description_len) for e in entities]
+            assert [(r["template"], r["hypothesis"]) for r in rows] == [
+                (" ".join(t), " ".join(d)) for t, d in alone]
+            if not flags:
+                templates = [r["template"] for r in rows]
+                assert "" in templates and any(templates)
+
+    @staticmethod
+    def stop_stage1_at_once_for_some(run_dir, eos_run, entities):
+        """A copy of the run whose stage 1 emits eos first for about half of `entities`."""
+        shutil.copytree(run_dir, eos_run)
+        model, _ = cli._load_model(eos_run / "checkpoint.bin")
+        eos, bos = model.vocabs.template_vocab[EOS], model.vocabs.template_vocab[BOS]
+        margins = []
+        with dc.no_grad():
+            for ent in entities:
+                _, enc = model.encode_entity(ent)
+                s0 = stage1.init_decoder_state(enc.final, model.params)
+                probs, _ = stage1.decode_template_step(bos, s0, enc, model.params)
+                p = np.log(probs.data)
+                margins.append(np.delete(p, eos).max() - p[eos])
+        margins.sort()
+        middle = len(margins) // 2
+        params = dc.load_checkpoint(eos_run / "checkpoint.bin")
+        params["s1.out.b"].data[eos] += (margins[middle - 1] + margins[middle]) / 2
+        dc.save_checkpoint(eos_run / "checkpoint.bin", params)
+        return eos_run
 
     def test_symlinked_out_keeps_the_symlink(self, pipeline, tmp_path):
         data_dir, run_dir = pipeline

@@ -28,7 +28,8 @@ def test_parts_keep_their_defaults():
     assert RunConfig().dims() == ModelDims()
 
 
-# the last parameters of each signature, in order, with their defaults
+# the last parameters of each signature, in order, with their defaults; the
+# decoders (`generate_template`, `decode_description`) take a batch of entities
 @pytest.mark.parametrize("func,tail", [
     (diffcore.Adam, {"lr": NO_DEFAULT, "beta1": NO_DEFAULT, "beta2": NO_DEFAULT,
                      "eps": NO_DEFAULT}),
@@ -40,8 +41,12 @@ def test_parts_keep_their_defaults():
     (TwoStageModel.joint_loss, {"self": NO_DEFAULT, "entity": NO_DEFAULT}),
     (TwoStageModel.generate, {"max_template_len": RunConfig().max_template_len,
                               "max_description_len": RunConfig().max_description_len}),
+    (TwoStageModel.generate_many, {"mode": NO_DEFAULT, "beam_width": NO_DEFAULT,
+                                   "template_override": NO_DEFAULT,
+                                   "max_template_len": NO_DEFAULT,
+                                   "max_description_len": NO_DEFAULT}),
 ], ids=["Adam", "generate_template", "decode_description", "build_vocabs", "joint_loss",
-        "generate"])
+        "generate", "generate_many"])
 def test_each_default_lives_in_one_place(func, tail):
     params = list(inspect.signature(func).parameters.values())[-len(tail):]
     assert {p.name: p.default for p in params} == tail

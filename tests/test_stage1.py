@@ -205,21 +205,21 @@ class TestGenerateTemplate:
     def test_max_len_one(self, setup):
         ent, vocabs, model = setup
         _, enc = model.encode_entity(ent)
-        tokens = stage1.generate_template(enc, vocabs, model.params, 1, "greedy", 1)
+        (tokens,) = stage1.generate_template([enc], vocabs, model.params, 1, "greedy", 1)
         assert len(tokens) <= 1
 
     def test_beam_one_equals_greedy(self, setup):
         ent, vocabs, model = setup
         _, enc = model.encode_entity(ent)
-        greedy = stage1.generate_template(enc, vocabs, model.params, 8, "greedy", 1)
-        beam = stage1.generate_template(enc, vocabs, model.params, 8, "beam", 1)
+        (greedy,) = stage1.generate_template([enc], vocabs, model.params, 8, "greedy", 1)
+        (beam,) = stage1.generate_template([enc], vocabs, model.params, 8, "beam", 1)
         assert greedy == beam
 
     def test_unknown_mode_rejected(self, setup):
         ent, vocabs, model = setup
         _, enc = model.encode_entity(ent)
         with pytest.raises(TypedescError):
-            stage1.generate_template(enc, vocabs, model.params,
+            stage1.generate_template([enc], vocabs, model.params,
                                      RunConfig().max_template_len, "magic", 1)
 
 
