@@ -4,16 +4,16 @@ A deliberately small engine: numpy holds the arrays, each op records its
 parents and a backward closure, and `Tensor.backward()` walks the tape in
 reverse topological order, then forms each parameter's weight gradient from
 the rows every step sent it as one matrix product. Covers exactly the ops
-the two-stage generator needs, with no general matrix product. A weight
-product is `linear` (w x, or w applied to each row of a block) or part of
-one of four fused ops, each one node with an analytic backward written on
-raw arrays: an affine sum of several products and a bias (`affine`), the
-gated fusion of three affine sums (`gated_fusion`), general-product
-attention (`attend`) and a GRU step or sequence (`gru_cell`,
-`gru_sequence`). One more fused node, `copy_mixture`, turns generate
-logits, a switch logit and copy scores into the copy/generate mixture.
-Plus Adam, finite-difference gradient checking and a binary checkpoint
-format.
+the two-stage generator needs, with no general matrix product. Every
+product is part of a fused op, one node with an analytic backward written
+on raw arrays, over vectors or blocks of rows. The one plain weight product
+is an affine sum of several products and a bias (`affine`); the gated
+fusion of three affine sums (`gated_fusion`) and a GRU step or sequence
+(`gru_cell`, `gru_sequence`) hold theirs. Each score product sits in the
+node that normalizes it: general-product attention (`attend`), and the
+copy/generate mixture (`copy_mixture`), which scores the copy keys against
+the decoder state and mixes the two softmaxes by a switch. Plus Adam,
+finite-difference gradient checking and a binary checkpoint format.
 """
 
 from __future__ import annotations
@@ -207,24 +207,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", np.multiply, a, b, lambda g: (g * b.data, g * a.data))
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """w x for a vector x, or w applied to each row of a block x, as one node.
-
-    Computed as (w x^T)^T, so a vector and a one-row block take the same product.
-    """
-    wd, xd = w.data, x.data
-    if wd.ndim != 2 or xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[1]:
-        raise TypedescError(f"linear: incompatible shapes {x.shape} and {w.shape}")
-
-    def backprop(g):
-        _accum_outer(w, g, xd)
-        _accum(x, (wd.T @ g.T).T)
-
-    return _make((wd @ xd.T).T, (w, x), backprop)
-
-
 def _affine(ws, xs, b):
-    """w_1 x_1 + ... + w_n x_n + b on raw arrays: each product `linear`'s, added left to right."""
+    """w_1 x_1 + ... + w_n x_n + b on raw arrays, added left to right; each product is
+    (w x^T)^T, so a vector and a one-row block take the same product."""
     out = (ws[0] @ xs[0].T).T
     for w, x in zip(ws[1:], xs[1:]):
         out = out + (w @ x.T).T
@@ -251,7 +236,7 @@ def _affine_backprop(ws: list[Tensor], xs: list[Tensor], b: Tensor, g):
 def affine(ws: list[Tensor], xs: list[Tensor], b: Tensor) -> Tensor:
     """w_1 x_1 + ... + w_n x_n + b for vectors x_i, or for blocks of rows, as one node.
 
-    The values are those of the chain of `linear` and `add` nodes it replaces.
+    The values equal a chain of one node per product and one `add` node per sum.
     """
     data = _checked_affine("affine", ws, xs, b)
     return _make(data, (*ws, *xs, b), lambda g: _affine_backprop(ws, xs, b, g))
@@ -289,7 +274,7 @@ def gated_fusion(sides, g_x: Tensor, g_t: Tensor) -> Tensor:
 # General-product attention (Luong et al. 2015) on raw arrays, for a query
 # s that is a state vector or a block of rows, each row attended on its own:
 #   q = W s; scores = H q; alpha = softmax(scores); context = H^T alpha
-# Each product is the one `linear` computes, and the softmax is `softmax`'s.
+# Each product is the one `_affine` computes, and the softmax is `softmax`'s.
 
 def _attend(states, s, w):
     """The context and the values its backward needs, (q, alpha)."""
@@ -394,26 +379,28 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make(table.data[idx], (table,), lambda g: _accum(table, g, idx))
 
 
-def copy_mixture(gen_logits: Tensor, switch_logit: Tensor, copy_scores: Tensor, index,
-                 size: int) -> Tensor:
+def copy_mixture(gen_logits: Tensor, switch_logit: Tensor, s: Tensor, copy_keys: Tensor,
+                 index, size: int) -> Tensor:
     """Copy/generate mixture over an extended vocabulary of `size` entries, as one node.
 
     With p_z = sigmoid(switch_logit), entry j is p_z softmax(gen_logits)[j]
     (0 past the generate vocabulary) plus (1 - p_z) times the sum of
-    softmax(copy_scores)[i] over the source positions i with index[i] == j
-    (See et al. 2017). Takes vectors, or (k, V), (k, 1) and (k, L) blocks done
-    row by row. The values are those of the softmax, sigmoid, subtraction,
-    product and scatter nodes it replaces.
+    softmax(scores)[i] over the source positions i with index[i] == j, where
+    score i is k_i . s for row k_i of `copy_keys` (See et al. 2017). Takes
+    vectors, or (k, V), (k, 1) and (k, d) blocks done row by row, with (L, d)
+    keys. The values are those of the score product, softmax, sigmoid,
+    subtraction, product and scatter nodes it replaces.
     """
     idx = np.asarray(index)
+    kd, sd = copy_keys.data, s.data
     if (gen_logits.data.ndim not in (1, 2) or gen_logits.shape[-1] > size or idx.ndim != 1
-            or switch_logit.shape != gen_logits.shape[:-1] + (1,)
-            or copy_scores.shape != gen_logits.shape[:-1] + idx.shape):
+            or switch_logit.shape != gen_logits.shape[:-1] + (1,) or kd.ndim != 2
+            or kd.shape[0] != idx.shape[0] or sd.shape != gen_logits.shape[:-1] + kd.shape[1:]):
         raise TypedescError(f"copy_mixture: generate logits {gen_logits.shape} into size "
-                            f"{size}, switch {switch_logit.shape}, copy scores "
-                            f"{copy_scores.shape}, index {idx.shape}")
+                            f"{size}, switch {switch_logit.shape}, state {s.shape}, copy keys "
+                            f"{copy_keys.shape}, index {idx.shape}")
     p_gen = _softmax(gen_logits.data)
-    p_copy = _softmax(copy_scores.data)
+    p_copy = _softmax((kd @ sd.T).T)
     p_z = _sigmoid(switch_logit.data)
     p_not = 1.0 - p_z
     n = p_gen.shape[-1]
@@ -427,10 +414,12 @@ def copy_mixture(gen_logits: Tensor, switch_logit: Tensor, copy_scores: Tensor, 
             - (g_copy * p_copy).sum(axis=-1, keepdims=True)
         _accum(gen_logits, _softmax_grad(g_gen * p_z, p_gen))
         _accum(switch_logit, dp_z * p_z * p_not)
-        _accum(copy_scores, _softmax_grad(g_copy * p_not, p_copy))
+        dscores = _softmax_grad(g_copy * p_not, p_copy)
+        _accum_outer(copy_keys, dscores, sd)
+        _accum(s, (kd.T @ dscores.T).T)
 
     # parents in the order a depth-first walk met them in the replaced chain
-    return _make(data, (gen_logits, switch_logit, copy_scores), backprop)
+    return _make(data, (gen_logits, switch_logit, copy_keys, s), backprop)
 
 
 def add_n(parts: list[Tensor]) -> Tensor:

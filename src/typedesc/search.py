@@ -59,20 +59,25 @@ def _search(step, states: list, bos_id: int, eos_id: int, max_len: int,
                                  [h[2] for h in open_hyps])
         rows = iter(zip(logp, next_states))
         for k, beams in enumerate(searches):
-            if all(h[3] for h in beams):
+            scored = [next(rows) for h in beams if not h[3]]
+            if not scored:
                 continue
+            length = len(scored[0][0])  # a search's rows share a length
+            if width > length:  # a wider beam never prunes and grows as V^t
+                raise TypedescError(f"beam width {width} exceeds the {length} scores of a "
+                                    f"decoding step")
+            if width == 1:  # its one open row's argmax: the stable sort's first entry, unsorted
+                tops = [[int(scored[0][0].argmax())]]
+            else:  # one sort of the search's open rows
+                block = np.array([row for row, _ in scored])
+                tops = np.argsort(-block, axis=1, kind="stable")[:, :width].tolist()
+            picks = iter(zip(scored, tops))
             candidates = []
             for ids, score, st, finished in beams:
                 if finished:
                     candidates.append((ids, score, st, True))
                     continue
-                row, nst = next(rows)
-                if width > len(row):  # a wider beam never prunes and grows as V^t
-                    raise TypedescError(
-                        f"beam width {width} exceeds the {len(row)} scores of a decoding step")
-                # width 1 takes argmax, the stable sort's first entry, without sorting V scores
-                top = ([int(row.argmax())] if width == 1
-                       else np.argsort(-row, kind="stable")[:width].tolist())
+                (row, nst), top = next(picks)
                 for tok in top:
                     if tok == eos_id:  # a finished hypothesis needs no state
                         candidates.append((ids, score + float(row[tok]), None, True))

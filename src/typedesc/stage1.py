@@ -133,13 +133,12 @@ def attend_general(states, s_prev: Tensor, w: Tensor):
     vector, or an id array and a block of rows. Returns the context and the
     attention weights alpha, a Tensor without gradient. With `states` a
     RowGroups, each entity's rows attend over its own states, one `attend`
-    per entity; the contexts join in row order, without a tape, and alpha is
-    a RowGroups.
+    per entity; the contexts join in row order, without a tape, and alpha,
+    which no batched caller reads, is None.
     """
     if isinstance(states, RowGroups):
-        parts = [attend(h, rows, w) for h, rows in states.split(s_prev)]
-        return (Tensor(np.concatenate([context.data for context, _ in parts])),
-                RowGroups([Tensor(alpha) for _, alpha in parts], states.counts))
+        return Tensor(np.concatenate([attend(h, rows, w)[0].data
+                                      for h, rows in states.split(s_prev)])), None
     context, alpha = attend(states, s_prev, w)
     return context, Tensor(alpha)
 

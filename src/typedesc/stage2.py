@@ -13,8 +13,8 @@ import numpy as np
 from . import diffcore, search
 from .corpus import SourceToken, VocabSet
 from .diffcore import (Tensor, affine, concat, copy_mixture, cross_entropy, embedding_lookup,
-                       gated_fusion, gru_cell, gru_sequence, gru_weights, init_gru, linear,
-                       sigmoid, tanh, uniform_param, zeros)
+                       gated_fusion, gru_cell, gru_sequence, gru_weights, init_gru, sigmoid,
+                       tanh, uniform_param, zeros)
 from .errors import TypedescError
 from .lexicon import BOS, EOS, UNK
 from .stage1 import EncoderOutput, InfoboxEncoding, ModelDims, RowGroups, attend_general
@@ -155,27 +155,24 @@ def copy_gen_distribution(s_j: Tensor, c2: Tensor, copy_keys, extvocab, params: 
     Generate path: softmax over target-vocabulary scores. Copy path: softmax
     over per-position scores s_j . k_i against the copy keys, positions of
     the same word summed. A sigmoid MLP switch supplies the mixture weight.
-    The keys come once per example, from `stage1.encode_infobox`; the
-    softmaxes, the switch's sigmoid and the mixing are one `copy_mixture` node.
-    With `copy_keys` and `extvocab` RowGroups, the switch and the generate
-    scores take every row at once, and the copy scores and the mixture run
-    per entity; the result is a RowGroups of the entities' distributions.
+    The keys come once per example, from `stage1.encode_infobox`; the copy
+    scores, both softmaxes, the switch's sigmoid and the mixing are one
+    `copy_mixture` node. With `copy_keys` and `extvocab` RowGroups, the
+    switch and the generate scores take every row at once, and the mixture
+    runs per entity; the result is a RowGroups of the entities'
+    distributions.
     """
     sc = concat([s_j, c2])
     hidden = tanh(affine([params["s2.switch.w1"]], [sc], params["s2.switch.b1"]))
     gen_logits = affine([params["s2.gen.w"]], [sc], params["s2.gen.b"])
     switch_logit = affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"])
     if isinstance(copy_keys, RowGroups):
-        return RowGroups([_mixture(*rows, keys, ext) for (keys, *rows), ext in
+        return RowGroups([copy_mixture(*rows, keys, ext.position_ids, ext.size)
+                          for (keys, *rows), ext in
                           zip(copy_keys.split(gen_logits, switch_logit, s_j), extvocab.values)],
                          copy_keys.counts)
-    return _mixture(gen_logits, switch_logit, s_j, copy_keys, extvocab)
-
-
-def _mixture(gen_logits: Tensor, switch_logit: Tensor, s_j: Tensor, copy_keys: Tensor,
-             extvocab: ExtendedVocab) -> Tensor:
-    return copy_mixture(gen_logits, switch_logit, linear(s_j, copy_keys),
-                        extvocab.position_ids, extvocab.size)
+    return copy_mixture(gen_logits, switch_logit, s_j, copy_keys, extvocab.position_ids,
+                        extvocab.size)
 
 
 def description_step(y_prev_id, s_prev: Tensor, enc: InfoboxEncoding,

@@ -184,30 +184,36 @@ def test_only_the_two_error_types_are_raised():
 
 
 def test_every_public_diffcore_name_has_a_caller():
-    """Every public top-level function or class of diffcore is referenced in the package
-    or in bench/*.py outside its own definition, by name or as `diffcore.<name>`.
+    """Every top-level function or class of the package, public or private, in diffcore
+    or any other module, is referenced in the package or in bench/*.py outside its own
+    definition: by name, as `<module>.<name>`, or as a re-export of `__init__.py`, the
+    package's interface. A helper that a fold leaves without a caller fails here.
 
-    The exception is grad_check, the finite-difference reference of the gradient tests.
+    The exception is diffcore.grad_check, the finite-difference reference of the
+    gradient tests.
     """
-    source = Path(typedesc.__file__).parent / "diffcore.py"
-    public = {node.name for node in ast.parse(source.read_text(encoding="utf-8")).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
-    used = set()
+    package = Path(typedesc.__file__).parent
     bench = Path(__file__).resolve().parents[1] / "bench"
-    for path in sorted(source.parent.glob("*.py")) + sorted(bench.glob("*.py")):
+    defined = [(path, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    refs = {}  # name -> (file, enclosing top-level name, module qualifier or None)
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
-                    name = node.id
-                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                      and node.value.id == "diffcore"):
-                    name = node.attr
+                    qualifier, name = None, node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    qualifier, name = node.value.id, node.attr
+                elif isinstance(node, ast.alias) and path.name == "__init__.py":
+                    qualifier, name = None, node.name
                 else:
                     continue
-                if path != source or getattr(top, "name", None) != name:
-                    used.add(name)
-    assert sorted(public - used) == ["grad_check"]
+                refs.setdefault(name, []).append((path, getattr(top, "name", None), qualifier))
+    unused = [f"{path.stem}.{name}" for path, name in defined
+              if not any(qualifier in (None, path.stem) and (where, top) != (path, name)
+                         for where, top, qualifier in refs.get(name, []))]
+    assert unused == ["diffcore.grad_check"]
 
 
 class TestFilterEntities:

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -23,6 +24,12 @@ def adam(params, lr):
 
 def param(rng, *shape, scale=0.5):
     return dc.Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
+
+
+def linear(x, w):
+    """w x for a vector x, or w applied to each row of a block x, as one node: a
+    one-term affine sum with a constant zero bias."""
+    return dc.affine([w], [x], dc.zeros(w.shape[0]))
 
 
 class TestForwardValues:
@@ -56,7 +63,14 @@ class TestForwardValues:
     def test_copy_mixture_rejects_generate_logits_longer_than_size(self):
         with pytest.raises(TypedescError, match=r"generate logits \(5,\) into size 4"):
             dc.copy_mixture(dc.Tensor(np.zeros(5)), dc.Tensor(np.zeros(1)),
-                            dc.Tensor(np.zeros(2)), [0, 1], 4)
+                            dc.Tensor(np.zeros(3)), dc.Tensor(np.zeros((2, 3))), [0, 1], 4)
+
+    @pytest.mark.parametrize("state, keys", [((4,), (2, 3)), ((2, 3), (2, 4))])
+    def test_copy_mixture_rejects_keys_of_another_width_than_the_state(self, state, keys):
+        with pytest.raises(TypedescError, match=re.escape(f"state {state}, copy keys {keys}")):
+            dc.copy_mixture(dc.Tensor(np.zeros(state[:-1] + (3,))),
+                            dc.Tensor(np.zeros(state[:-1] + (1,))), dc.Tensor(np.zeros(state)),
+                            dc.Tensor(np.zeros(keys)), [0, 1], 4)
 
     @pytest.mark.parametrize("size", [4, 64, 256, 10_000])
     def test_sigmoid_matches_the_two_division_form(self, size):
@@ -114,9 +128,9 @@ class TestGRUCell:
 
 def _unfused_gru_cell(x, h, w):
     """Reference GRU step built from elementwise ops, one node per op."""
-    z = dc.sigmoid(dc.linear(x, w.wz) + dc.linear(h, w.uz) + w.bz)
-    r = dc.sigmoid(dc.linear(x, w.wr) + dc.linear(h, w.ur) + w.br)
-    hbar = dc.tanh(dc.linear(x, w.wh) + dc.linear(r * h, w.uh) + w.bh)
+    z = dc.sigmoid(linear(x, w.wz) + linear(h, w.uz) + w.bz)
+    r = dc.sigmoid(linear(x, w.wr) + linear(h, w.ur) + w.br)
+    hbar = dc.tanh(linear(x, w.wh) + linear(r * h, w.uh) + w.bh)
     return (1.0 + z * -1.0) * h + z * hbar  # 1 - z exactly: negation rounds nothing
 
 
@@ -197,25 +211,21 @@ class TestFusedGRU:
 
 
 class TestRowBlocks:
-    """linear, gru_cell and copy_mixture take a block of rows through the vector code."""
+    """affine (here as `linear`, one term and no bias), gru_cell and copy_mixture take a
+    block of rows through the vector code."""
 
     def test_linear_gradients_match_finite_differences(self):
         rng = np.random.default_rng(31)
         w, x, xs = param(rng, 3, 4), param(rng, 4), param(rng, 2, 4)
-        assert dc.grad_check(lambda: (dc.linear(x, w) * dc.Tensor([1.0, -2.0, 0.5])).sum(),
+        assert dc.grad_check(lambda: (linear(x, w) * dc.Tensor([1.0, -2.0, 0.5])).sum(),
                              [w, x]) < 1e-6
         probe = dc.Tensor(rng.normal(size=(2, 3)))
-        assert dc.grad_check(lambda: (dc.linear(xs, w) * probe).sum(), [w, xs]) < 1e-6
-
-    def test_linear_rejects_a_mismatched_row_length(self):
-        with pytest.raises(TypedescError, match=r"linear: incompatible shapes \(2, 3\) and "
-                                                r"\(4, 4\)"):
-            dc.linear(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((4, 4))))
+        assert dc.grad_check(lambda: (linear(xs, w) * probe).sum(), [w, xs]) < 1e-6
 
     def test_linear_one_row_block_is_the_vector_bitwise(self):
         rng = np.random.default_rng(32)
         w, x = rng.normal(size=(6, 9)), rng.normal(size=9)
-        row = dc.linear(dc.Tensor(x[None]), dc.Tensor(w)).data
+        row = linear(dc.Tensor(x[None]), dc.Tensor(w)).data
         assert row.shape == (1, 6) and np.array_equal(row[0], w @ x)
 
     @staticmethod
@@ -223,7 +233,7 @@ class TestRowBlocks:
         """fn(*inputs) -> the op's output, its vector inputs and its other parents."""
         if op == "linear":
             w = param(rng, 5, 7)
-            return lambda x: dc.linear(x, w), [param(rng, 7)], [w]
+            return lambda x: linear(x, w), [param(rng, 7)], [w]
         if op == "affine":
             ws, xs, b = random_affine(rng, 3, 0)
             return lambda *x: dc.affine(ws, list(x), b), xs, [*ws, b]
@@ -265,27 +275,30 @@ class TestRowBlocks:
 
     def test_copy_mixture_block_rows_are_vector_calls(self):
         rng = np.random.default_rng(34)
-        parts = param(rng, 3, 2), param(rng, 3, 1), param(rng, 3, 5)
+        rows, keys = (param(rng, 3, 2), param(rng, 3, 1), param(rng, 3, 6)), param(rng, 5, 6)
         idx = np.array([0, 3, 3, 2, 0])
-        block = dc.copy_mixture(*parts, idx, 4).data
+        block = dc.copy_mixture(*rows, keys, idx, 4).data
+        # the score product of k rows may round apart from k vector products, in the last bits
         for i in range(3):
-            row = dc.copy_mixture(*(dc.Tensor(p.data[i]) for p in parts), idx, 4).data
-            assert np.array_equal(block[i], row)
+            row = dc.copy_mixture(*(dc.Tensor(p.data[i]) for p in rows), keys, idx, 4).data
+            assert_close_relative(block[i], row)
+            one = dc.copy_mixture(*(dc.Tensor(p.data[i:i + 1]) for p in rows), keys, idx, 4).data
+            assert np.array_equal(one[0], row)
         probe = dc.Tensor(rng.normal(size=(3, 4)))
-        assert dc.grad_check(lambda: (dc.copy_mixture(*parts, idx, 4) * probe).sum(),
-                             list(parts)) < 1e-6
+        assert dc.grad_check(lambda: (dc.copy_mixture(*rows, keys, idx, 4) * probe).sum(),
+                             [*rows, keys]) < 1e-6
 
     def test_copy_mixture_rejects_unpaired_rows(self):
         with pytest.raises(TypedescError, match="copy_mixture"):
             dc.copy_mixture(dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((2, 1))),
-                            dc.Tensor(np.zeros((3, 2))), [0, 1], 4)
+                            dc.Tensor(np.zeros((3, 5))), dc.Tensor(np.zeros((2, 5))), [0, 1], 4)
 
 
 def _unfused_affine(ws, xs, b):
-    """Reference affine map: a chain of linear and add nodes, one node per op."""
-    out = dc.linear(xs[0], ws[0])
+    """Reference affine map: a chain of one-product and add nodes, one node per op."""
+    out = linear(xs[0], ws[0])
     for w, x in zip(ws[1:], xs[1:]):
-        out = out + dc.linear(x, w)
+        out = out + linear(x, w)
     return out + b
 
 
@@ -297,7 +310,7 @@ def random_affine(rng, terms, rows, d=6):
 
 
 class TestAffine:
-    """affine is the linear-and-add chain it replaces, as one node."""
+    """affine is the chain of one-product and add nodes it replaces, as one node."""
 
     @pytest.mark.parametrize("terms", [1, 2, 3])
     @pytest.mark.parametrize("rows", [0, 1, 4])
@@ -354,7 +367,7 @@ class TestDeferredWeightGradients:
         w = param(rng, 5, 4)
         xs = [dc.Tensor(rng.normal(size=4)) for _ in range(4)]
         probes = [rng.normal(size=5) for _ in range(4)]
-        dc.add_n([(dc.linear(x, w) * dc.Tensor(p)).sum() for x, p in zip(xs, probes)]).backward()
+        dc.add_n([(linear(x, w) * dc.Tensor(p)).sum() for x, p in zip(xs, probes)]).backward()
         assert_close_relative(w.grad, outer_sum(probes, [x.data for x in xs]))
 
     def test_unrolled_gru_cell_is_the_sum_of_outer_products(self):
@@ -394,8 +407,8 @@ class TestDeferredWeightGradients:
         x, p = rng.normal(size=3), rng.normal(size=4)
         a, q = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
         # a transposed leaf gets its rows at once, through the transpose node
-        ((dc.linear(dc.Tensor(x), w) * dc.Tensor(p)).sum()
-         + (dc.linear(dc.Tensor(a), dc.transpose(w)) * dc.Tensor(q)).sum()
+        ((linear(dc.Tensor(x), w) * dc.Tensor(p)).sum()
+         + (linear(dc.Tensor(a), dc.transpose(w)) * dc.Tensor(q)).sum()
          + (dc.transpose(w) * dc.Tensor(q[:1].T @ p[None])).sum()
          + (dc.embedding_lookup(w, [1, 1]) * dc.Tensor(q)).sum()).backward()
         want = np.outer(p, x) + a.T @ q + p[:, None] @ q[:1]
@@ -407,7 +420,7 @@ class TestDeferredWeightGradients:
         a = param(rng, 3, 4)
         x1, x2 = param(rng, 4), param(rng, 4)
         p = dc.Tensor(rng.normal(size=3))
-        assert dc.grad_check(lambda: ((dc.linear(x1, dc.tanh(a)) + dc.linear(x2, dc.tanh(a)))
+        assert dc.grad_check(lambda: ((linear(x1, dc.tanh(a)) + linear(x2, dc.tanh(a)))
                                       * p).sum(), [a, x1, x2]) < 1e-6
         # a leaf or non-leaf a applied to a vector or to a block of rows: g^T b, exactly
         for b_shape in ((4,), (5, 4)):
@@ -415,7 +428,7 @@ class TestDeferredWeightGradients:
             g = rng.normal(size=b_shape[:-1] + (3,))
             for left in (a, dc.tanh(a)):
                 left.grad = b.grad = None
-                (dc.linear(b, left) * dc.Tensor(g)).sum().backward()
+                (linear(b, left) * dc.Tensor(g)).sum().backward()
                 want = np.outer(g, b.data) if b.data.ndim == 1 else g.T @ b.data
                 assert np.array_equal(left.grad, want)
                 assert np.array_equal(b.grad, (left.data.T @ g.T).T)
@@ -427,7 +440,7 @@ class TestDeferredWeightGradients:
 
         def loss():
             x = dc.tanh(u)
-            return x, (dc.linear(x, w) * dc.Tensor(p)).sum()
+            return x, (linear(x, w) * dc.Tensor(p)).sum()
 
         x, failing = loss()
 
@@ -464,11 +477,11 @@ class TestGradCheck:
         rng = np.random.default_rng(7)
         a, b = param(rng, 3, 4), param(rng, 2, 4)
         m = dc.Tensor(rng.normal(size=(2, 3)))
-        assert dc.grad_check(lambda: (dc.linear(b, a) * m).sum(), [a, b]) < 1e-6
+        assert dc.grad_check(lambda: (linear(b, a) * m).sum(), [a, b]) < 1e-6
 
         w, x = param(rng, 3, 4), param(rng, 4)
         v = dc.Tensor(rng.normal(size=3))
-        assert dc.grad_check(lambda: (dc.linear(x, w) * v).sum(), [w, x]) < 1e-6
+        assert dc.grad_check(lambda: (linear(x, w) * v).sum(), [w, x]) < 1e-6
 
         t = param(rng, 6)
         probe = dc.Tensor(rng.normal(size=6))
@@ -489,12 +502,12 @@ class TestGradCheck:
         assert dc.grad_check(
             lambda: (dc.embedding_lookup(tab, [1, 1]) * probe3).sum(), [tab]) < 1e-6
 
-        # generate logits shorter than size, and copy positions that share an index
-        gen, switch, scores = param(rng, 2), param(rng, 1), param(rng, 5)
+        # generate logits shorter than size, and copy positions that share an index, at d=5
+        gen, switch, state, keys = param(rng, 2), param(rng, 1), param(rng, 5), param(rng, 5, 5)
         probe4 = dc.Tensor(rng.normal(size=4))
         idx = np.array([0, 3, 3, 2, 0])
-        assert dc.grad_check(lambda: (dc.copy_mixture(gen, switch, scores, idx, 4)
-                                      * probe4).sum(), [gen, switch, scores]) < 1e-6
+        assert dc.grad_check(lambda: (dc.copy_mixture(gen, switch, state, keys, idx, 4)
+                                      * probe4).sum(), [gen, switch, state, keys]) < 1e-6
 
         # the three sums of a gated fusion at d=5, two terms in the first
         sides = [random_affine(rng, terms, 0, d=5) for terms in (2, 1, 1)]
@@ -534,7 +547,7 @@ class TestBackwardLinearity:
         x2 = dc.Tensor(rng.normal(size=4))
 
         def loss(x):
-            return (dc.tanh(dc.linear(x, w)) * dc.Tensor(np.ones(4))).sum()
+            return (dc.tanh(linear(x, w)) * dc.Tensor(np.ones(4))).sum()
 
         w.grad = None
         dc.add_n([loss(x1), loss(x2)]).backward()
@@ -704,7 +717,7 @@ class TestNoGrad:
     def test_inference_builds_no_graph(self):
         w = dc.Tensor(np.ones((2, 2)), requires_grad=True)
         with dc.no_grad():
-            out = dc.linear(dc.Tensor(np.ones(2)), w)
+            out = linear(dc.Tensor(np.ones(2)), w)
         assert out._parents == ()
         assert not out.requires_grad
 

@@ -10,7 +10,7 @@ from typedesc.errors import TypedescError
 from typedesc.lexicon import BOS, HED
 from typedesc.config import RunConfig
 from typedesc.trainer import TrainConfig, TwoStageModel
-from test_diffcore import assert_close_relative, grads_of
+from test_diffcore import assert_close_relative, grads_of, linear
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +98,13 @@ class TestAttendGeneral:
 
 
 def _unfused_attend_general(states, s_prev, w):
-    """Reference attention: linear, softmax and transpose nodes, one node per op."""
-    alpha = dc.softmax(dc.linear(dc.linear(s_prev, w), states))
-    return dc.linear(alpha, dc.transpose(states)), alpha
+    """Reference attention: product, softmax and transpose nodes, one node per op."""
+    alpha = dc.softmax(linear(linear(s_prev, w), states))
+    return linear(alpha, dc.transpose(states)), alpha
 
 
 class TestFusedAttention:
-    """attend_general is the linear/softmax/transpose chain it replaces, as one node."""
+    """attend_general is the product/softmax/transpose chain it replaces, as one node."""
 
     def inputs(self, seed, rows, d=5, length=4):
         rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ from typedesc.errors import TypedescError
 from typedesc.lexicon import HED, MOD, UNK
 from typedesc.trainer import TwoStageModel
 
-from test_diffcore import assert_close_relative, grads_of
+from test_diffcore import assert_close_relative, grads_of, linear
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +57,13 @@ def reference_fuse_contexts(y_prev_emb, s_prev, c_x, c_t, g_x, g_t, params):
 
 
 def reference_copy_gen_distribution(s_j, c2, copy_keys, extvocab, params):
-    """copy_gen_distribution as the chain of nodes it replaced: both softmaxes, the
-    switch's sigmoid, 1 - p_z, both products and the scatter, one node each."""
+    """copy_gen_distribution as the chain of nodes it replaced: the copy scores, both
+    softmaxes, the switch's sigmoid, 1 - p_z, both products and the scatter, one node each."""
     sc = dc.concat([s_j, c2])
     p_gen = dc.softmax(dc.affine([params["s2.gen.w"]], [sc], params["s2.gen.b"]))
     hidden = dc.tanh(dc.affine([params["s2.switch.w1"]], [sc], params["s2.switch.b1"]))
     p_z = dc.sigmoid(dc.affine([params["s2.switch.w2"]], [hidden], params["s2.switch.b2"]))
-    copy_probs = _one_minus(p_z) * dc.softmax(dc.linear(s_j, copy_keys))
+    copy_probs = _one_minus(p_z) * dc.softmax(linear(s_j, copy_keys))
     return _scatter_add(p_z * p_gen, copy_probs, extvocab.position_ids, extvocab.size)
 
 
@@ -354,6 +354,20 @@ class TestFusedStepTail:
         self.assert_same(stage2.copy_gen_distribution, reference_copy_gen_distribution,
                          [s_j, c2, keys, ext, model.params],
                          dc.Tensor(rng.normal(size=lead + (ext.size,))), [s_j, c2, keys] + head)
+
+    def test_copy_gen_distribution_makes_six_nodes(self, setup, monkeypatch):
+        # concat, the switch's hidden affine and tanh, the generate and switch affines,
+        # and copy_mixture with the copy scores inside; a score node of its own makes 7
+        ent, vocabs, model = setup
+        source, enc = model.encode_entity(ent)
+        ext = stage2.ExtendedVocab(vocabs, source)
+        d = model.dims.d_h
+        made = []
+        real = dc._make
+        monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+        stage2.copy_gen_distribution(dc.Tensor(np.ones(d), requires_grad=True),
+                                     dc.Tensor(np.ones(d)), enc.copy_keys, ext, model.params)
+        assert len(made) == 6
 
     def test_joint_loss_gradients_are_the_reference_chains_bitwise(self, monkeypatch):
         # each fused node hands its parents their gradients in the order the replaced

@@ -172,6 +172,19 @@ def test_joint_loss_node_count_with_fused_step_tail(monkeypatch):
     assert len(made) <= 200
 
 
+def test_joint_loss_node_count_with_copy_scores_in_the_mixture(monkeypatch):
+    # each description step's copy scores are part of its copy_mixture node; a
+    # separate score product node per step again (167 nodes here) fails this bound
+    from test_acceptance import micro_entity, micro_vocabs
+    model = TwoStageModel.build(stage1.ModelDims(d_h=4, d_word=4, d_prop=3, d_pos=3),
+                                micro_vocabs(), seed=0)
+    made = []
+    real = dc._make
+    monkeypatch.setattr(dc, "_make", lambda *a: made.append(1) or real(*a))
+    model.joint_loss(micro_entity())
+    assert len(made) <= 161
+
+
 def test_copy_keys_are_formed_once_per_example(corpus, monkeypatch):
     # tanh(H W_c + b_c) depends on the encoder alone; counted by the transposes
     # of s2.copy.w, in whichever stage module forms the keys
